@@ -130,6 +130,27 @@ def test_solver_json_schema(capsys):
     jsonschema.validate(payload, load_schema("solve.schema.json"))
 
 
+def test_golden_tww_exact(capsys, tmp_path):
+    import twinwidth.graphs as graphs
+    import twinwidth.trimatrix as trimatrix
+
+    g = graphs.graph_from_text((DATA / "demo5.g").read_text())
+    adj = tmp_path / "demo5.adj.mat"
+    adj.write_text(trimatrix.matrix_to_text(trimatrix.adjacency_matrix(g)))
+    outs = []
+    for inputs in (
+        ["--graph", str(DATA / "demo5.g")],
+        ["--matrix", str(adj), "--symmetric"],
+        ["--matrix", str(DATA / "asym4x5.mat")],
+        # rows + cols is over the default cap, so this is the greedy bound
+        ["--matrix", str(DATA / "demo6.mat.golden")],
+    ):
+        code, out = run_cli(capsys, "tww", "exact", *inputs, "--json")
+        assert code == 0
+        outs.append(out)
+    check_golden("tww-exact.txt", "".join(outs))
+
+
 def test_tww_matrix_symmetric_and_greedy(capsys):
     code, out = run_cli(
         capsys, "tww", "exact", "--graph", str(DATA / "demo5.g"), "--cap", "10", "--json"
