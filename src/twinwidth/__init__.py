@@ -37,7 +37,6 @@ from .trimatrix import (
     contract_rows,
     find_mixed_minor,
     matrix_twinwidth_exact,
-    minor_free_ordering_exists,
     permutation_matrix,
     red_number,
     replay_symmetric,

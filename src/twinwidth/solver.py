@@ -1,11 +1,15 @@
 """Exact and heuristic twin-width of graphs at desk scale.
 
-The exact solver walks the lattice of vertex partitions.  The trigraph
-reached by contracting the groups of a partition (in any order) has a black
-edge between two groups iff all original cross pairs are edges, no edge iff
-none are, and a red edge otherwise, so memoizing on the partition is exact
-and independent of contraction order.  Identical groups (same status toward
-every other group) are merged eagerly; such a merge creates no red edges.
+The exact solver is the partition-lattice walk of ``trimatrix._walk`` on a
+single axis, the vertex groups.  Its ``profile`` hook reads the quotient
+trigraph from bitmask neighbourhoods: two groups have a black edge iff all
+cross pairs are edges, no edge iff none are, and a red edge otherwise.  The
+hook also names the first pair of twin groups (same status toward every
+other group); merging them creates no red edge, so it is the only move the
+walk tries from that state.
+
+The greedy solver is a separate incremental bitmask heuristic for graphs far
+beyond the exact cap.
 """
 
 from __future__ import annotations
@@ -14,12 +18,10 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import CapExceeded, DomainError
-from .graphs import ContractionStep, Graph, SequenceError, sequence_width
-from .trimatrix import DEFAULT_ORDERING_CAP, TriMatrix, find_mixed_minor
+from .graphs import ContractionStep, Graph, sequence_width
+from .trimatrix import DEFAULT_ORDERING_CAP, TriMatrix, _bits, _walk, find_mixed_minor
 
 DEFAULT_EXACT_CAP = 10
-
-_NONE, _BLACK, _RED = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -30,32 +32,15 @@ class SolveResult:
     nodes_explored: int
 
 
-def _status(g: Graph, a: tuple[str, ...], b: tuple[str, ...]) -> int:
-    hits = sum(1 for u in a for v in b if g.has_edge(u, v))
-    if hits == 0:
-        return _NONE
-    if hits == len(a) * len(b):
-        return _BLACK
-    return _RED
-
-
-def _quotient_profile(g: Graph, p: tuple[tuple[str, ...], ...]) -> list[list[int]]:
-    k = len(p)
-    grid = [[_NONE] * k for _ in range(k)]
-    for i, j in itertools.combinations(range(k), 2):
-        grid[i][j] = grid[j][i] = _status(g, p[i], p[j])
-    return grid
-
-
-def _max_red(grid: list[list[int]]) -> int:
-    return max((row.count(_RED) for row in grid), default=0)
-
-
-def _merge(p: tuple[tuple[str, ...], ...], a: int, b: int) -> tuple[tuple[str, ...], ...]:
-    merged = tuple(sorted(p[a] + p[b]))
-    rest = [g for i, g in enumerate(p) if i not in (a, b)]
-    rest.append(merged)
-    return tuple(sorted(rest))
+def _adjacency(g: Graph) -> tuple[list[str], list[int]]:
+    """The sorted vertices and each one's neighbourhood as a bitmask over them."""
+    order = sorted(g.vertices)
+    slot = {v: i for i, v in enumerate(order)}
+    adj = [0] * len(order)
+    for u, v in g.edges:
+        adj[slot[u]] |= 1 << slot[v]
+        adj[slot[v]] |= 1 << slot[u]
+    return order, adj
 
 
 def twinwidth_exact(g: Graph, cap: int = DEFAULT_EXACT_CAP) -> SolveResult:
@@ -65,61 +50,39 @@ def twinwidth_exact(g: Graph, cap: int = DEFAULT_EXACT_CAP) -> SolveResult:
         raise CapExceeded(f"exact twin-width cap {cap} exceeded ({n} vertices)")
     if n == 0:
         raise DomainError("empty graph has no contraction sequence")
+    order, adj = _adjacency(g)
 
-    memo: dict[tuple, tuple[int, tuple | None]] = {}
-    nodes = 0
-
-    # f(p) = best achievable maximum red degree from partition p on,
-    # including p's own quotient; each state's grid is computed once.
-    def solve(p: tuple[tuple[str, ...], ...]) -> tuple[int, tuple | None]:
-        nonlocal nodes
-        got = memo.get(p)
-        if got is not None:
-            return got
-        nodes += 1
-        grid = _quotient_profile(g, p)
-        here = _max_red(grid)
+    def profile(state: tuple) -> tuple[int, tuple | None]:
+        (p,) = state
         k = len(p)
-        if k == 1:
-            memo[p] = (here, None)
-            return (here, None)
-
+        # per group: vertices adjacent to some member, and to every member
+        some, every = [0] * k, [-1] * k
+        for i, grp in enumerate(p):
+            for v in _bits(grp):
+                some[i] |= adj[v]
+                every[i] &= adj[v]
+        # per group: bitmasks over group indices of its black and red edges
+        black, red = [0] * k, [0] * k
+        for i, j in itertools.combinations(range(k), 2):
+            if some[i] & p[j]:
+                status = black if every[i] & p[j] == p[j] else red
+                status[i] |= 1 << j
+                status[j] |= 1 << i
+        here = max(r.bit_count() for r in red)
         # Twin groups (identical rows off the pair) merge first; the merge
         # introduces no red edges, so it never hurts.
-        pairs = None
         for a, b in itertools.combinations(range(k), 2):
-            if all(grid[a][w] == grid[b][w] for w in range(k) if w not in (a, b)):
-                pairs = [(a, b)]
-                break
-        if pairs is None:
-            pairs = list(itertools.combinations(range(k), 2))
+            if not ((black[a] ^ black[b]) | (red[a] ^ red[b])) & ~((1 << a) | (1 << b)):
+                return here, (0, a, b)
+        return here, None
 
-        best: int | None = None
-        best_move = None
-        for a, b in pairs:
-            width = solve(_merge(p, a, b))[0]
-            if best is None or width < best:
-                best, best_move = width, (p[a], p[b])
-        result = (max(here, best), best_move)
-        memo[p] = result
-        return result
-
-    start = tuple((v,) for v in sorted(g.vertices))
-    value = solve(start)[0]
-
+    value, path, nodes = _walk((n,), profile)
+    names = {1 << i: v for i, v in enumerate(order)}
     steps: list[ContractionStep] = []
-    names = {grp: grp[0] for grp in start}
-    p = start
-    while len(p) > 1:
-        _, move = solve(p)
-        ga, gb = move
-        if min(gb) < min(ga):
-            ga, gb = gb, ga
+    for _, ga, gb in path:
         merged_name = names[ga] + names[gb]
         steps.append(ContractionStep(names[ga], names[gb], merged_name))
-        merged = tuple(sorted(ga + gb))
-        names[merged] = merged_name
-        p = _merge(p, p.index(ga), p.index(gb))
+        names[ga | gb] = merged_name
     return SolveResult(value, True, tuple(steps), nodes)
 
 
@@ -132,25 +95,14 @@ def twinwidth_greedy(g: Graph) -> SolveResult:
     """
     if not g.vertices:
         raise DomainError("empty graph has no contraction sequence")
-    order = sorted(g.vertices)
+    order, black = _adjacency(g)
     n = len(order)
-    slot = {v: i for i, v in enumerate(order)}
-    black = [0] * n
     red = [0] * n
-    for u, v in g.edges:
-        black[slot[u]] |= 1 << slot[v]
-        black[slot[v]] |= 1 << slot[u]
     names: dict[int, str] = dict(enumerate(order))
     alive = set(range(n))
     steps: list[ContractionStep] = []
     value = 0
     nodes = 0
-
-    def bits(mask: int):
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
 
     while len(alive) > 1:
         degs = {i: red[i].bit_count() for i in alive}
@@ -171,14 +123,14 @@ def twinwidth_greedy(g: Graph) -> SolveResult:
             plus = red_m & ~(red[a] | red[b])
             minus = red[a] & red[b] & ~pair_bits
             abort = False
-            for w in bits(plus):
+            for w in _bits(plus):
                 resulting = max(resulting, degs[w] + 1)
                 if best is not None and resulting > best[0]:
                     abort = True
                     break
             if abort:
                 continue
-            touched = set(bits(plus)) | set(bits(minus)) | {a, b}
+            touched = set(_bits(plus)) | set(_bits(minus)) | {a, b}
             level_delta: dict[int, int] = {}
             for w in touched:
                 level_delta[degs[w]] = level_delta.get(degs[w], 0) + 1
@@ -188,7 +140,7 @@ def twinwidth_greedy(g: Graph) -> SolveResult:
                 if by_level[level] - level_delta.get(level, 0) > 0:
                     resulting = max(resulting, level)
                     break
-            for w in bits(minus):
+            for w in _bits(minus):
                 resulting = max(resulting, degs[w] - 1)
             if best is not None and (resulting, key) >= best:
                 continue
@@ -229,11 +181,7 @@ def verify_sequence(g: Graph, seq: tuple[ContractionStep, ...], claimed: int) ->
 
     Malformed sequences raise SequenceError; a width mismatch returns False.
     """
-    try:
-        width = sequence_width(g, seq)
-    except SequenceError:
-        raise
-    return width == claimed
+    return sequence_width(g, seq) == claimed
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,15 @@ minor is a division of the (ordered) matrix into k consecutive row blocks
 and k consecutive column blocks such that every zone contains two distinct
 rows and two distinct columns.
 
-The exact matrix twin-width solver walks the lattice of (row, column) group
-partitions: the matrix reached by any interleaving of contractions is the
-quotient by the partition, so memoizing on the partition pair is exact.
+Exact twin-width of matrices and of graphs (``solver.twinwidth_exact``) is
+one memoized walk of the partition lattice, ``_walk``.  Its state holds a
+partition per axis: rows and columns, or a single one for graphs and
+symmetric matrices.  The matrix or trigraph reached by any interleaving of
+contractions is the quotient by that state, so memoizing on it is exact.
+Callers plug in only a ``profile`` hook giving the red number of a state and
+an optional free move.  For matrices the hook reads each quotient cell, a
+common value or RED, from per-row value bitmasks; the greedy bound scores
+its candidate merges with the same hook.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import CapExceeded, DomainError, FormatError
+from .errors import DomainError, FormatError
 from .graphs import Graph
 
 RED = 3
@@ -360,7 +366,86 @@ def permutation_matrix(word: Sequence[int]) -> TriMatrix:
 
 
 # ---------------------------------------------------------------------------
-# exact twin-width of a matrix (partition-lattice walk)
+# the partition-lattice walk shared by graph and matrix twin-width
+#
+# A state is a tuple of axes (one for graphs and symmetric matrices; rows then
+# columns otherwise), each a tuple of disjoint bitmask groups sorted by their
+# lowest set bit.  A move (axis, a, b) with a < b merges groups a and b of one
+# axis; the merged group keeps a's lowest bit, so it takes a's place.
+#
+# Callers plug in ``profile(state) -> (red number here, free move or None)``.
+# A free move merges two groups whose quotient lines are identical; it creates
+# no red entry, so it is the only move tried from that state.
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _low(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _discrete(sizes: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(1 << i for i in range(n)) for n in sizes)
+
+
+def _merge(state: tuple, x: int, a: int, b: int) -> tuple:
+    axis = list(state[x])
+    axis[a] |= axis.pop(b)
+    return state[:x] + (tuple(axis),) + state[x + 1 :]
+
+
+def _moves(state: tuple) -> list[tuple[int, int, int]]:
+    return [(x, a, b) for x, axis in enumerate(state) for a, b in itertools.combinations(range(len(axis)), 2)]
+
+
+def _walk(sizes: Sequence[int], profile) -> tuple[int, list[tuple[int, int, int]], int]:
+    """Exact width from the discrete partition of each axis down to one group each.
+
+    Returns the width, the optimal path as (axis, kept group, merged-in group)
+    bitmasks, and the number of states explored.  The state reached by any
+    interleaving of merges is the quotient by the partition, so memoizing on
+    the state is exact.  Among moves of equal width the first one wins.
+    """
+    memo: dict[tuple, tuple[int, tuple | None]] = {}
+    nodes = 0
+
+    # f(state) = best achievable red number from this state on, itself included.
+    def solve(state: tuple) -> tuple[int, tuple | None]:
+        nonlocal nodes
+        got = memo.get(state)
+        if got is not None:
+            return got
+        nodes += 1
+        here, free = profile(state)
+        if all(len(axis) <= 1 for axis in state):
+            memo[state] = (here, None)
+            return (here, None)
+        best, best_move = None, None
+        for move in [free] if free is not None else _moves(state):
+            width = solve(_merge(state, *move))[0]
+            if best is None or width < best:
+                best, best_move = width, move
+        result = (max(here, best), best_move)
+        memo[state] = result
+        return result
+
+    state = _discrete(sizes)
+    value = solve(state)[0]
+    path = []
+    while (move := memo[state][1]) is not None:
+        x, a, b = move
+        path.append((x, state[x][a], state[x][b]))
+        state = _merge(state, x, a, b)
+    return value, path, nodes
+
+
+# ---------------------------------------------------------------------------
+# twin-width of a matrix
 
 
 @dataclass(frozen=True)
@@ -372,51 +457,62 @@ class MatrixSolveResult:
     nodes_explored: int
 
 
-Partition = tuple[tuple[int, ...], ...]
+_KINDS = ("row", "col")
 
 
-def _initial_partition(n: int) -> Partition:
-    return tuple((i,) for i in range(n))
+def _matrix_profile(m: TriMatrix, symmetric: bool):
+    """profile() for matrix states: red cells of the quotient and identical lines.
+
+    A quotient cell is the common value of its entries, or RED if they differ.
+    Only rows are checked for identical lines in symmetric mode.
+    """
+    # per row and value (0..RED), the columns holding that value
+    masks = [[0] * (RED + 1) for _ in m.rows]
+    for i, row in enumerate(m.rows):
+        for j, v in enumerate(row):
+            masks[i][v] |= 1 << j
+
+    def profile(state: tuple) -> tuple[int, tuple | None]:
+        rows_p, cols_p = (state[0], state[0]) if symmetric else state
+        firsts = [_low(cg) for cg in cols_p]
+        lines = []
+        for rg in rows_p:
+            # per value, the columns holding it in every row of the group
+            common = [-1] * (RED + 1)
+            for i in _bits(rg):
+                common = [c & mask for c, mask in zip(common, masks[i])]
+            first_row = m.rows[_low(rg)]
+            line = []
+            for cg, j in zip(cols_p, firsts):
+                v = first_row[j]
+                line.append(v if common[v] & cg == cg else RED)
+            lines.append(tuple(line))
+        cols = list(zip(*lines))
+        here = max([line.count(RED) for line in lines] + [col.count(RED) for col in cols], default=0)
+        for x, axis_lines in enumerate([lines] if symmetric else [lines, cols]):
+            seen: dict[tuple[int, ...], int] = {}
+            for i, line in enumerate(axis_lines):
+                if line in seen:
+                    return here, (x, seen[line], i)
+                seen[line] = i
+        return here, None
+
+    return profile
 
 
-def _merge_groups(p: Partition, a: int, b: int) -> Partition:
-    merged = tuple(sorted(p[a] + p[b]))
-    rest = [g for i, g in enumerate(p) if i not in (a, b)]
-    rest.append(merged)
-    return tuple(sorted(rest))
+def _matrix_sizes(m: TriMatrix, symmetric: bool) -> tuple[int, ...]:
+    if symmetric and m.row_keys != m.col_keys:
+        raise DomainError("symmetric solving needs identical row and column keys")
+    return (len(m.row_keys),) if symmetric else m.shape()
 
 
-def _quotient_red(values: tuple[tuple[int, ...], ...], rows_p: Partition, cols_p: Partition) -> int:
-    red_in_row = [0] * len(rows_p)
-    red_in_col = [0] * len(cols_p)
-    for ri, rg in enumerate(rows_p):
-        for ci, cg in enumerate(cols_p):
-            cells = {values[i][j] for i in rg for j in cg}
-            if len(cells) > 1 or RED in cells:
-                red_in_row[ri] += 1
-                red_in_col[ci] += 1
-    return max(red_in_row + red_in_col, default=0)
-
-
-def _quotient_lines(values, rows_p: Partition, cols_p: Partition):
-    out = []
-    for rg in rows_p:
-        line = []
-        for cg in cols_p:
-            cells = {values[i][j] for i in rg for j in cg}
-            line.append(cells.pop() if len(cells) == 1 else RED)
-        out.append(tuple(line))
-    return out
-
-
-def _free_merge(lines: list[tuple[int, ...]]) -> tuple[int, int] | None:
-    """A pair of identical quotient lines, if any; merging them first is optimal."""
-    seen: dict[tuple[int, ...], int] = {}
-    for i, line in enumerate(lines):
-        if line in seen:
-            return (seen[line], i)
-        seen[line] = i
-    return None
+def _matrix_steps(m: TriMatrix, symmetric: bool, path) -> tuple[tuple[str, str, str], ...]:
+    steps = []
+    for x, keep, drop in path:
+        keys = m.col_keys if x else m.row_keys
+        for kind in _KINDS if symmetric else (_KINDS[x],):
+            steps.append((kind, keys[_low(keep)], keys[_low(drop)]))
+    return tuple(steps)
 
 
 def matrix_twinwidth_exact(
@@ -431,193 +527,33 @@ def matrix_twinwidth_exact(
     pair.  If rows + cols exceeds ``cap`` the greedy bound is returned with
     ``optimal=False`` instead of an exhaustive answer.
     """
-    nr, nc = m.shape()
-    if symmetric and m.row_keys != m.col_keys:
-        raise DomainError("symmetric solving needs identical row and column keys")
-    if nr + nc > cap:
+    sizes = _matrix_sizes(m, symmetric)
+    if sum(m.shape()) > cap:
         return matrix_twinwidth_greedy(m, symmetric)
-
-    values = m.rows
-    nodes = 0
-    memo: dict[object, tuple[int, tuple | None]] = {}
-
-    if symmetric:
-
-        # f(p) = best achievable red number from partition p on, p included.
-        def solve_sym(p: Partition) -> tuple[int, tuple | None]:
-            nonlocal nodes
-            got = memo.get(p)
-            if got is not None:
-                return got
-            nodes += 1
-            lines = _quotient_lines(values, p, p)
-            here = max(
-                max((line.count(RED) for line in lines), default=0),
-                max((col.count(RED) for col in zip(*lines)), default=0),
-            )
-            if len(p) == 1:
-                memo[p] = (here, None)
-                return (here, None)
-            free = _free_merge(lines)
-            pairs = [free] if free is not None else list(itertools.combinations(range(len(p)), 2))
-            best, best_move = None, None
-            for a, b in pairs:
-                width, _ = solve_sym(_merge_groups(p, a, b))
-                if best is None or width < best:
-                    best, best_move = width, (p[a], p[b])
-            result = (max(here, best), best_move)
-            memo[p] = result
-            return result
-
-        start = _initial_partition(nr)
-        value = solve_sym(start)[0]
-        steps: list[tuple[str, str, str]] = []
-        p = start
-        while len(p) > 1:
-            _, move = solve_sym(p)
-            ga, gb = move
-            keep = m.row_keys[min(ga + gb)]
-            drop = m.row_keys[min(gb if min(ga) < min(gb) else ga)]
-            steps.append(("row", keep, drop))
-            steps.append(("col", keep, drop))
-            p = _merge_groups(p, p.index(ga), p.index(gb))
-        return MatrixSolveResult(value, True, tuple(steps), nodes)
-
-    # f(state) = best achievable red number from this state on, itself included.
-    def solve(rows_p: Partition, cols_p: Partition) -> tuple[int, tuple | None]:
-        nonlocal nodes
-        key = (rows_p, cols_p)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        nodes += 1
-        row_lines = _quotient_lines(values, rows_p, cols_p)
-        here = max(
-            max((line.count(RED) for line in row_lines), default=0),
-            max((col.count(RED) for col in zip(*row_lines)), default=0),
-        )
-        if len(rows_p) == 1 and len(cols_p) == 1:
-            memo[key] = (here, None)
-            return (here, None)
-        moves: list[tuple[str, int, int]] = []
-        free = _free_merge(row_lines)
-        if free is not None:
-            moves = [("row", *free)]
-        else:
-            free = _free_merge([tuple(col) for col in zip(*row_lines)])
-            if free is not None:
-                moves = [("col", *free)]
-            else:
-                moves.extend(("row", a, b) for a, b in itertools.combinations(range(len(rows_p)), 2))
-                moves.extend(("col", a, b) for a, b in itertools.combinations(range(len(cols_p)), 2))
-        best, best_move = None, None
-        for kind, a, b in moves:
-            if kind == "row":
-                nxt = (_merge_groups(rows_p, a, b), cols_p)
-                merged_pair = (rows_p[a], rows_p[b])
-            else:
-                nxt = (rows_p, _merge_groups(cols_p, a, b))
-                merged_pair = (cols_p[a], cols_p[b])
-            width, _ = solve(*nxt)
-            if best is None or width < best:
-                best, best_move = width, (kind, *merged_pair)
-        result = (max(here, best), best_move)
-        memo[key] = result
-        return result
-
-    start = (_initial_partition(nr), _initial_partition(nc))
-    value = solve(*start)[0]
-    steps = []
-    rows_p, cols_p = start
-    while len(rows_p) > 1 or len(cols_p) > 1:
-        _, move = solve(rows_p, cols_p)
-        kind, ga, gb = move
-        keys = m.row_keys if kind == "row" else m.col_keys
-        keep = keys[min(ga + gb)]
-        drop = keys[min(gb if min(ga) < min(gb) else ga)]
-        steps.append((kind, keep, drop))
-        if kind == "row":
-            rows_p = _merge_groups(rows_p, rows_p.index(ga), rows_p.index(gb))
-        else:
-            cols_p = _merge_groups(cols_p, cols_p.index(ga), cols_p.index(gb))
-    return MatrixSolveResult(value, True, tuple(steps), nodes)
+    value, path, nodes = _walk(sizes, _matrix_profile(m, symmetric))
+    return MatrixSolveResult(value, True, _matrix_steps(m, symmetric, path), nodes)
 
 
 def matrix_twinwidth_greedy(m: TriMatrix, symmetric: bool = False) -> MatrixSolveResult:
-    """Upper bound: repeatedly take the merge minimizing the next red number."""
-    if symmetric and m.row_keys != m.col_keys:
-        raise DomainError("symmetric solving needs identical row and column keys")
-    values = m.rows
-    nr, nc = m.shape()
-    value = red_number(m)
-    steps: list[tuple[str, str, str]] = []
-    nodes = 0
+    """Upper bound: repeatedly take the merge minimizing the next red number.
 
-    if symmetric:
-        p = _initial_partition(nr)
-        while len(p) > 1:
-            best = None
-            for a, b in itertools.combinations(range(len(p)), 2):
-                nxt = _merge_groups(p, a, b)
-                nodes += 1
-                cand = (_quotient_red(values, nxt, nxt), m.row_keys[min(p[a] + p[b])], a, b)
-                if best is None or cand < best:
-                    best = cand
-            red, _, a, b = best
-            keep = m.row_keys[min(p[a] + p[b])]
-            drop = m.row_keys[min(p[b] if min(p[a]) < min(p[b]) else p[a])]
-            steps.append(("row", keep, drop))
-            steps.append(("col", keep, drop))
-            value = max(value, red)
-            p = _merge_groups(p, a, b)
-        return MatrixSolveResult(value, False, tuple(steps), nodes)
-
-    rows_p, cols_p = _initial_partition(nr), _initial_partition(nc)
-    while len(rows_p) > 1 or len(cols_p) > 1:
-        best = None
-        for kind, groups in (("row", rows_p), ("col", cols_p)):
-            for a, b in itertools.combinations(range(len(groups)), 2):
-                nodes += 1
-                if kind == "row":
-                    nxt = (_merge_groups(rows_p, a, b), cols_p)
-                else:
-                    nxt = (rows_p, _merge_groups(cols_p, a, b))
-                keys = m.row_keys if kind == "row" else m.col_keys
-                cand = (_quotient_red(values, *nxt), kind, keys[min(groups[a] + groups[b])], a, b)
-                if best is None or cand < best:
-                    best = cand
-        red, kind, _, a, b = best
-        groups = rows_p if kind == "row" else cols_p
-        keys = m.row_keys if kind == "row" else m.col_keys
-        keep = keys[min(groups[a] + groups[b])]
-        drop = keys[min(groups[b] if min(groups[a]) < min(groups[b]) else groups[a])]
-        steps.append((kind, keep, drop))
-        value = max(value, red)
-        if kind == "row":
-            rows_p = _merge_groups(rows_p, a, b)
-        else:
-            cols_p = _merge_groups(cols_p, a, b)
-    return MatrixSolveResult(value, False, tuple(steps), nodes)
-
-
-# ---------------------------------------------------------------------------
-# ordering diagnostics
-
-
-def minor_free_ordering_exists(m: TriMatrix, t: int, cap: int = DEFAULT_ORDERING_CAP) -> bool:
-    """Whether some row/column reordering of m has no (2t+2)-mixed minor.
-
-    For a matrix of twin-width t such an ordering always exists; this is the
-    exhaustive diagnostic used to cross-check the exact solver.
+    Ties go to the smallest (red, "col" before "row", kept key, a, b).
     """
-    nr, nc = m.shape()
-    if nr > cap or nc > cap:
-        raise CapExceeded(f"ordering search cap {cap} exceeded ({nr}x{nc})")
-    k = 2 * t + 2
-    if 2 * k > min(nr, nc):
-        return True  # no k blocks of size >= 2 fit, so no ordering can contain one
-    for row_order in itertools.permutations(range(nr)):
-        for col_order in itertools.permutations(range(nc)):
-            if find_mixed_minor(m.permuted(row_order, col_order), k) is None:
-                return True
-    return False
+    profile = _matrix_profile(m, symmetric)
+    keys = (m.row_keys, m.col_keys)
+    state = _discrete(_matrix_sizes(m, symmetric))
+    value = red_number(m)
+    path = []
+    nodes = 0
+    while moves := _moves(state):
+        best = None
+        for x, a, b in moves:
+            nodes += 1
+            nxt = _merge(state, x, a, b)
+            key = (profile(nxt)[0], _KINDS[x], keys[x][_low(state[x][a])], a, b)
+            if best is None or key < best[0]:
+                best = (key, (x, state[x][a], state[x][b]), nxt)
+        (red, *_), step, state = best
+        path.append(step)
+        value = max(value, red)
+    return MatrixSolveResult(value, False, _matrix_steps(m, symmetric, path), nodes)

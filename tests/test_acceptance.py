@@ -50,13 +50,12 @@ from twinwidth.perturb import (
     find_homogeneous_set,
     verify_robustness_circle,
 )
-from twinwidth.solver import twinwidth_exact, twinwidth_greedy, verify_sequence
+from twinwidth.solver import ordering_without_mixed_minor, twinwidth_exact, twinwidth_greedy, verify_sequence
 from twinwidth.trimatrix import (
     TriMatrix,
     adjacency_matrix,
     find_mixed_minor,
     matrix_twinwidth_exact,
-    minor_free_ordering_exists,
     permutation_matrix,
     replay_symmetric,
 )
@@ -300,5 +299,5 @@ def test_criterion_10_ordering_spot_check():
             [[rng.choice((0, 1)) for _ in range(5)] for _ in range(5)],
         )
         t = matrix_twinwidth_exact(m, cap=10).value
-        assert minor_free_ordering_exists(m, t)
+        assert ordering_without_mixed_minor(m, 2 * t + 2, mode="exhaustive").ordering is not None
     budget.done("50 matrices admit a (2t+2)-mixed-minor-free ordering")
