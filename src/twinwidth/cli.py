@@ -133,6 +133,9 @@ def _cmd_mixed_minor(args) -> int:
 
 def _cmd_tww(args) -> int:
     if args.action == "verify":
+        missing = [f"--{name}" for name in ("graph", "seq", "claim") if getattr(args, name) is None]
+        if missing:
+            args.usage_error(f"verify needs {', '.join(missing)}")
         g = graphs.graph_from_text(_read(args.graph))
         seq = graphs.sequence_from_text(_read(args.seq))
         verified = solver.verify_sequence(g, seq, args.claim)
@@ -315,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--claim", type=int, help="verify: claimed width")
     p.add_argument("--cap", type=int, default=solver.DEFAULT_EXACT_CAP)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_tww)
+    p.set_defaults(func=_cmd_tww, usage_error=p.error)
 
     p = sub.add_parser("extract", help="extract an obstruction certificate")
     p.add_argument("what", choices=("perm-submatrix", "circle-witness", "exposure"))

@@ -329,9 +329,11 @@ def graph_from_text(text: str) -> Graph:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("graph "):
         raise FormatError("graph file must start with a 'graph <name> <n> <m>' header")
-    head = lines[0].split()
-    if len(head) != 4:
-        raise FormatError(f"bad graph header: {lines[0]!r}")
+    try:
+        _, _, n, m = lines[0].split()
+        n, m = int(n), int(m)
+    except ValueError as exc:
+        raise FormatError(f"bad graph header: {lines[0]!r}") from exc
     vertices: list[str] = []
     edges: list[tuple[str, str]] = []
     for ln in lines[1:]:
@@ -343,7 +345,7 @@ def graph_from_text(text: str) -> Graph:
         else:
             raise FormatError(f"bad graph line: {ln!r}")
     g = Graph.build(vertices, edges)
-    if len(g.vertices) != int(head[2]) or len(g.edges) != int(head[3]):
+    if len(g.vertices) != n or len(g.edges) != m:
         raise FormatError("graph header counts do not match the body")
     return g
 

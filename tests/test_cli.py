@@ -8,6 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from twinwidth import graphs, trimatrix
 from twinwidth.cli import run
 from conftest import DATA
 
@@ -29,6 +30,15 @@ def check_golden(name: str, got: str):
 
 def load_schema(name: str) -> dict:
     return json.loads((SCHEMAS / name).read_text())
+
+
+@pytest.fixture
+def demo5_adj(tmp_path) -> Path:
+    """The adjacency matrix of demo5.g as a .mat file."""
+    g = graphs.graph_from_text((DATA / "demo5.g").read_text())
+    path = tmp_path / "demo5.adj.mat"
+    path.write_text(trimatrix.matrix_to_text(trimatrix.adjacency_matrix(g)))
+    return path
 
 
 def test_golden_decode(capsys):
@@ -130,17 +140,11 @@ def test_solver_json_schema(capsys):
     jsonschema.validate(payload, load_schema("solve.schema.json"))
 
 
-def test_golden_tww_exact(capsys, tmp_path):
-    import twinwidth.graphs as graphs
-    import twinwidth.trimatrix as trimatrix
-
-    g = graphs.graph_from_text((DATA / "demo5.g").read_text())
-    adj = tmp_path / "demo5.adj.mat"
-    adj.write_text(trimatrix.matrix_to_text(trimatrix.adjacency_matrix(g)))
+def test_golden_tww_exact(capsys, demo5_adj):
     outs = []
     for inputs in (
         ["--graph", str(DATA / "demo5.g")],
-        ["--matrix", str(adj), "--symmetric"],
+        ["--matrix", str(demo5_adj), "--symmetric"],
         ["--matrix", str(DATA / "asym4x5.mat")],
         # rows + cols is over the default cap, so this is the greedy bound
         ["--matrix", str(DATA / "demo6.mat.golden")],
@@ -151,7 +155,7 @@ def test_golden_tww_exact(capsys, tmp_path):
     check_golden("tww-exact.txt", "".join(outs))
 
 
-def test_tww_matrix_symmetric_and_greedy(capsys):
+def test_tww_matrix_symmetric_and_greedy(capsys, demo5_adj):
     code, out = run_cli(
         capsys, "tww", "exact", "--graph", str(DATA / "demo5.g"), "--cap", "10", "--json"
     )
@@ -162,22 +166,11 @@ def test_tww_matrix_symmetric_and_greedy(capsys):
     assert payload["optimal"] is False and payload["value"] >= exact_value
     jsonschema.validate(payload, load_schema("solve.schema.json"))
 
-    import twinwidth.graphs as graphs
-    import twinwidth.trimatrix as trimatrix
-
-    g = graphs.graph_from_text((DATA / "demo5.g").read_text())
-    adj = trimatrix.matrix_to_text(trimatrix.adjacency_matrix(g))
-    (DATA / "golden").parent  # noqa: B018 - path sanity
-    tmp = DATA / "demo5.adj.mat"
-    tmp.write_text(adj)
-    try:
-        code, out = run_cli(capsys, "tww", "exact", "--matrix", str(tmp), "--symmetric", "--json")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["optimal"] is True
-        assert abs(payload["value"] - exact_value) <= 1
-    finally:
-        tmp.unlink()
+    code, out = run_cli(capsys, "tww", "exact", "--matrix", str(demo5_adj), "--symmetric", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["optimal"] is True
+    assert abs(payload["value"] - exact_value) <= 1
 
 
 def test_decode_chords_kind_validation(capsys):
@@ -209,15 +202,29 @@ def test_witness_schema_other_types(capsys):
     jsonschema.validate(json.loads(out), load_schema("witness.schema.json"))
 
 
-def test_exit_codes(capsys):
+def test_exit_codes(capsys, tmp_path):
     assert run(["tww", "exact", "--graph", "does-not-exist.g"]) == 1
     capsys.readouterr()
+    bad_header = tmp_path / "bad.g"
+    bad_header.write_text("graph g x 0\n")
+    assert run(["tww", "exact", "--graph", str(bad_header)]) == 1
+    assert capsys.readouterr().err == "error: bad graph header: 'graph g x 0'\n"
     with pytest.raises(SystemExit) as exc:
         run(["unknown-command"])
     assert exc.value.code == 2
     capsys.readouterr()
     assert run(["robustness", "--case", "circle", "--pi", "1", "-r", "1", "--mode", "sampled"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("drop", ["--seq", "--claim", "--graph"])
+def test_tww_verify_needs_all_inputs(capsys, drop):
+    inputs = {"--graph": str(DATA / "demo5.g"), "--seq": str(DATA / "demo5.seq"), "--claim": "2"}
+    del inputs[drop]
+    with pytest.raises(SystemExit) as exc:
+        run(["tww", "verify", *(x for pair in inputs.items() for x in pair)])
+    assert exc.value.code == 2
+    assert f"verify needs {drop}" in capsys.readouterr().err
 
 
 def test_console_script_entrypoint():
