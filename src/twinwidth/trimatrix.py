@@ -537,7 +537,8 @@ def matrix_twinwidth_exact(
 def matrix_twinwidth_greedy(m: TriMatrix, symmetric: bool = False) -> MatrixSolveResult:
     """Upper bound: repeatedly take the merge minimizing the next red number.
 
-    Ties go to the smallest (red, "col" before "row", kept key, a, b).
+    Candidates rank by (red number, kind, kept key, a, b), so at equal red
+    number a column merge ("col") comes before a row merge ("row").
     """
     profile = _matrix_profile(m, symmetric)
     keys = (m.row_keys, m.col_keys)
