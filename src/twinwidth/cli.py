@@ -100,7 +100,7 @@ def _cmd_ilmatrix(args) -> int:
 
 def _cmd_condense(args) -> int:
     rep = _load_rep(args)
-    condensed = ilrep.condense(rep, iso_cap=args.iso_cap)
+    condensed = ilrep.condense(rep)
     intervals = ilrep.rep_to_intervals(condensed)
     if args.json:
         _emit_json(
@@ -299,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("condense", help="condense a representation")
     _add_rep_inputs(p)
-    p.add_argument("--iso-cap", type=int, default=graphs.DEFAULT_ISO_CAP)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_condense)
 

@@ -25,6 +25,8 @@ from .ilrep import IlMatrix, IntervalLikeRep, INTERVAL, OVERLAP, build_ilmatrix,
 from .trimatrix import TriMatrix
 
 DEFAULT_EVAL_BUDGET = 10_000_000
+# Parser, rewriter and evaluator all recurse once per nesting level.
+MAX_FORMULA_DEPTH = 256
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +138,7 @@ def _tokenize(text: str) -> list[str]:
     return text.replace("(", " ( ").replace(")", " ) ").split()
 
 
-def _read(tokens: list[str], pos: int):
+def _read(tokens: list[str], pos: int, depth: int = 0):
     if pos >= len(tokens):
         raise FormatError("unexpected end of formula")
     tok = tokens[pos]
@@ -144,10 +146,12 @@ def _read(tokens: list[str], pos: int):
         raise FormatError("unexpected ')'")
     if tok != "(":
         return tok, pos + 1
+    if depth >= MAX_FORMULA_DEPTH:
+        raise FormatError(f"formula nests deeper than {MAX_FORMULA_DEPTH} parentheses")
     items = []
     pos += 1
     while pos < len(tokens) and tokens[pos] != ")":
-        item, pos = _read(tokens, pos)
+        item, pos = _read(tokens, pos, depth + 1)
         items.append(item)
     if pos >= len(tokens):
         raise FormatError("missing ')'")
@@ -607,16 +611,9 @@ def transduction_image(g: Graph, cap: int = 6, budget: int = DEFAULT_EVAL_BUDGET
 # the model-checking pipeline
 
 
-def modelcheck_pipeline(
-    rep: IntervalLikeRep,
-    f: Formula,
-    budget: int = DEFAULT_EVAL_BUDGET,
-    iso_cap: int | None = None,
-) -> bool:
+def modelcheck_pipeline(rep: IntervalLikeRep, f: Formula, budget: int = DEFAULT_EVAL_BUDGET) -> bool:
     """Condense, build the representation matrix, rewrite, evaluate there."""
-    from .graphs import DEFAULT_ISO_CAP
-
-    condensed = condense(rep, iso_cap if iso_cap is not None else DEFAULT_ISO_CAP)
+    condensed = condense(rep)
     ilm = build_ilmatrix(condensed)
     rewritten = rewrite(interpretation_for(rep.kind), f)
     return evaluate(matrix_structure(ilm), rewritten, budget)
@@ -627,12 +624,7 @@ def modelcheck_direct(rep: IntervalLikeRep, f: Formula, budget: int = DEFAULT_EV
     return evaluate(graph_structure(decode(rep)), f, budget)
 
 
-def modelcheck_interval_graph(
-    g: Graph,
-    f: Formula,
-    budget: int = DEFAULT_EVAL_BUDGET,
-    iso_cap: int | None = None,
-) -> bool:
+def modelcheck_interval_graph(g: Graph, f: Formula, budget: int = DEFAULT_EVAL_BUDGET) -> bool:
     """Pipeline entry for a bare interval graph: recognize a model first.
 
     Sentences are isomorphism-invariant, so answering on the recognized
@@ -643,4 +635,4 @@ def modelcheck_interval_graph(
     model = recognize_interval(g)
     if model is None:
         raise DomainError("graph is not an interval graph")
-    return modelcheck_pipeline(rep_from_intervals(model, INTERVAL), f, budget, iso_cap)
+    return modelcheck_pipeline(rep_from_intervals(model, INTERVAL), f, budget)

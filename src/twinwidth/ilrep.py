@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import CapExceeded, DomainError, FormatError
-from .graphs import DEFAULT_ISO_CAP, Graph, is_isomorphic
+from .graphs import Graph
 from .trimatrix import RED, TriMatrix
 
 INTERVAL = "interval"
@@ -289,21 +289,22 @@ def unify(rep: IntervalLikeRep, s1: str, s2: str) -> tuple[IntervalLikeRep, bool
     return IntervalLikeRep(ends, new_pairs, rep.kind), legal
 
 
-def _preserves_graph(rep: IntervalLikeRep, merged: IntervalLikeRep, s1: str, s2: str, iso_cap: int) -> bool:
+def _preserves_graph(rep: IntervalLikeRep, merged: IntervalLikeRep, s1: str, s2: str) -> bool:
     rho = lambda e: s1 if e == s2 else e
-    before = decode(rep)
-    after = decode(merged)
     translate = {
         pair_name(p): pair_name((rho(p[0]), rho(p[1]))) for p in rep.pairs
     }
-    same = {tuple(sorted((translate[u], translate[v]))) for u, v in before.edges} == set(after.edges)
-    if same:
-        return True
-    return is_isomorphic(before, after, cap=iso_cap)
+    before = {tuple(sorted((translate[u], translate[v]))) for u, v in decode(rep).edges}
+    return before == set(decode(merged).edges)
 
 
-def condense(rep: IntervalLikeRep, iso_cap: int = DEFAULT_ISO_CAP) -> IntervalLikeRep:
+def condense(rep: IntervalLikeRep) -> IntervalLikeRep:
     """Apply legal, graph-preserving unifications until none applies.
+
+    Graph-preserving means the natural pair map keeps the edge set, and that
+    is exact: ``unify`` maps end ranks monotonically and both adjacency
+    predicates are conjunctions of <= on ranks, so a legal unification only
+    adds edges.  No isomorphism search is needed, so there is no vertex cap.
 
     The scan runs left to right and restarts after every success, so the
     result is deterministic; condensed forms are generally not unique.
@@ -314,7 +315,7 @@ def condense(rep: IntervalLikeRep, iso_cap: int = DEFAULT_ISO_CAP) -> IntervalLi
         for i in range(len(rep.ends) - 1):
             s1, s2 = rep.ends[i], rep.ends[i + 1]
             merged, legal = unify(rep, s1, s2)
-            if legal and _preserves_graph(rep, merged, s1, s2, iso_cap):
+            if legal and _preserves_graph(rep, merged, s1, s2):
                 rep = merged
                 changed = True
                 break

@@ -27,7 +27,6 @@ from typing import Iterable, Sequence
 
 from .errors import CapExceeded, DomainError, ExtractionError
 from .graphs import (
-    DEFAULT_ISO_CAP,
     Graph,
     check_permutation,
     find_twins,
@@ -172,7 +171,6 @@ def circle_permutation_witness(
     rep: IntervalLikeRep,
     word: Sequence[int],
     minor: MixedMinorWitness | None = None,
-    iso_cap: int = DEFAULT_ISO_CAP,
 ) -> CirclePermWitness:
     """Vertices of an overlap graph inducing the permutation graph of ``word``."""
     w = check_permutation(word)
@@ -183,7 +181,7 @@ def circle_permutation_witness(
     sub = extract_perm_submatrix(build_ilmatrix(rep), reversal(w), minor)
     vertices = sub.row_keys
     induced = g.subgraph(vertices)
-    if not is_isomorphic(induced, permutation_graph(w), cap=iso_cap):
+    if not is_isomorphic(induced, permutation_graph(w)):
         raise ExtractionError("induced subgraph is not the requested permutation graph")
     return CirclePermWitness(vertices, w, sub, True)
 

@@ -38,6 +38,16 @@ from .obstruction import check_exposes
 DEFAULT_GADGET_CAP = 4096
 
 
+def _power_exceeds(base: int, exponent: int, cap: int) -> bool:
+    """``base ** exponent > cap`` for base >= 2, stopping once the product passes the cap."""
+    value = 1
+    for _ in range(exponent):
+        if value > cap:
+            return True
+        value *= base
+    return value > cap
+
+
 # ---------------------------------------------------------------------------
 # perturbations
 
@@ -248,12 +258,14 @@ def build_circle_gadget(
     w = check_permutation(word)
     if r < 0:
         raise DomainError("r must be nonnegative")
+    if exponent is None and r >= cap.bit_length():  # 2^r alone would dwarf the cap
+        raise CapExceeded(f"gadget would have {2 * len(w)}^(2^{r}) vertices, cap is {cap}")
     # exponents below 2^r are allowed for diagnostics; robustness
     # verification enforces its own precondition
     s = exponent if exponent is not None else 2**r
     orders = LexPowerOrders(tuple(range(1, 2 * len(w) + 1)), double_with_complement(w), s)
-    if orders.size > cap:
-        raise CapExceeded(f"gadget would have {orders.size} vertices, cap is {cap}")
+    if _power_exceeds(len(orders.base), orders.exponent, cap):
+        raise CapExceeded(f"gadget would have {len(orders.base)}^{orders.exponent} vertices, cap is {cap}")
     rho = orders.permutation_word()
     return CircleGadget(permutation_graph(rho), orders, rho, w, r)
 
@@ -311,9 +323,8 @@ def verify_robustness_circle(
             failures.append({"script": [sorted(x, key=int) for x in script], "reason": why})
 
     if mode == "exhaustive":
-        total = 2 ** (n * gadget.r)
-        if total > budget:
-            raise CapExceeded(f"exhaustive mode needs {total} scripts, budget is {budget}")
+        if _power_exceeds(2, n * gadget.r, budget):
+            raise CapExceeded(f"exhaustive mode needs 2^{n * gadget.r} scripts, budget is {budget}")
         if gadget.r == 0:
             run(())
         else:
@@ -410,10 +421,12 @@ def build_interval_gadget(
         raise DomainError("r must be nonnegative")
     if u_power < 1:
         raise DomainError("u_power must be positive")
+    if exponent is None and r >= cap.bit_length():  # 2^r alone would dwarf the cap
+        raise CapExceeded(f"gadget would have {4 * len(w)}^({u_power}*2^{r}) core vertices, cap is {cap}")
     z_power = exponent if exponent is not None else 2**r
     orders = LexPowerOrders(tuple(range(1, 4 * len(w) + 1)), doubled_interval_word(w), u_power * z_power)
-    if orders.size > cap:
-        raise CapExceeded(f"gadget would have {orders.size} core vertices, cap is {cap}")
+    if _power_exceeds(len(orders.base), orders.exponent, cap):
+        raise CapExceeded(f"gadget would have {len(orders.base)}^{orders.exponent} core vertices, cap is {cap}")
     return IntervalGadget(orders, w, r, u_power, z_power)
 
 
@@ -534,9 +547,8 @@ def verify_robustness_interval(
     tested = 0
     failures = []
     if mode == "exhaustive":
-        total = 2 ** (n * gadget.r)
-        if total > budget:
-            raise CapExceeded(f"exhaustive mode needs {total} scripts, budget is {budget}")
+        if _power_exceeds(2, n * gadget.r, budget):
+            raise CapExceeded(f"exhaustive mode needs 2^{n * gadget.r} scripts, budget is {budget}")
         names = (
             [gadget.core_name(i) for i in range(gadget.size)]
             + [gadget.side1_name(i) for i in range(gadget.size)]

@@ -101,7 +101,7 @@ def matrix_to_text(m: TriMatrix) -> str:
 
 
 def matrix_from_text(text: str) -> TriMatrix:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = text.lstrip().splitlines()
     if not lines or not lines[0].startswith("matrix "):
         raise FormatError("matrix file must start with a 'matrix <rows> <cols>' header")
     try:
@@ -109,17 +109,24 @@ def matrix_from_text(text: str) -> TriMatrix:
         nr, nc = int(nr), int(nc)
     except ValueError as exc:
         raise FormatError(f"bad matrix header: {lines[0]!r}") from exc
-    if len(lines) != 3 + nr:
-        raise FormatError("matrix body does not match the header row count")
+    # the key lines sit right after the header: an empty axis has an empty one
+    if len(lines) < 3:
+        raise FormatError("matrix file needs a row-key line and a column-key line")
     row_keys = lines[1].split()
     col_keys = lines[2].split()
     if len(row_keys) != nr or len(col_keys) != nc:
         raise FormatError("key lines do not match the header counts")
+    # blank lines are skipped; a matrix without columns has only blank rows
+    body = [ln for ln in lines[3:] if ln.strip()]
+    if len(body) != (nr if nc else 0):
+        raise FormatError("matrix body does not match the header row count")
     rows = []
-    for ln in lines[3:]:
+    for ln in body:
         if len(ln) != nc or any(ch not in _VALUES for ch in ln):
             raise FormatError(f"bad matrix row: {ln!r}")
         rows.append(tuple(_VALUES[ch] for ch in ln))
+    if not nc:
+        rows = [()] * nr
     return TriMatrix(tuple(row_keys), tuple(col_keys), tuple(rows))
 
 

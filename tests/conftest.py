@@ -54,6 +54,12 @@ def complete_graph(ids: str) -> Graph:
     return Graph.build(ids, itertools.combinations(ids, 2))
 
 
+def nested_sentence(depth: int) -> str:
+    """A sentence whose parentheses nest exactly ``depth`` deep (depth >= 3)."""
+    nots = depth - 3
+    return "(exists x (exists y " + "(not " * nots + "(edge x y)" + ")" * nots + "))"
+
+
 # ---------------------------------------------------------------------------
 # oracles
 

@@ -8,9 +8,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from twinwidth import graphs, trimatrix
+from twinwidth import fologic, graphs, trimatrix
 from twinwidth.cli import run
-from conftest import DATA
+from conftest import DATA, nested_sentence
 
 GOLDEN = DATA / "golden"
 SCHEMAS = Path(__file__).parent.parent / "docs" / "schemas"
@@ -126,6 +126,35 @@ def test_fo_check_direct_agrees(capsys):
     assert json.loads(pipeline) == json.loads(direct)
 
 
+def test_condense_and_fo_check_past_twelve_vertices(capsys):
+    # 13 intervals, and some legal unification of them changes the graph
+    model = str(DATA / "abovecap13.ivl")
+    code, out = run_cli(capsys, "condense", "--intervals", model, "--json")
+    assert code == 0
+    assert len(json.loads(out)["intervals"]) == 13
+    fo = ["fo-check", "--intervals", model, "--formula", str(DATA / "dominating.fo")]
+    code, pipeline = run_cli(capsys, *fo)
+    assert code == 0
+    _, direct = run_cli(capsys, *fo, "--direct")
+    assert json.loads(pipeline) == json.loads(direct)
+
+
+def test_fo_check_nesting_limit(capsys, tmp_path):
+    at_limit = tmp_path / "at.fo"
+    at_limit.write_text(nested_sentence(fologic.MAX_FORMULA_DEPTH) + "\n")
+    fo = ["fo-check", "--intervals", str(DATA / "demo6.ivl"), "--formula", str(at_limit)]
+    code, pipeline = run_cli(capsys, *fo)
+    assert code == 0
+    _, direct = run_cli(capsys, *fo, "--direct")
+    assert json.loads(pipeline) == json.loads(direct)
+    over = tmp_path / "over.fo"
+    over.write_text(nested_sentence(fologic.MAX_FORMULA_DEPTH + 1) + "\n")
+    for extra in ([], ["--direct"]):
+        assert run(["fo-check", "--intervals", str(DATA / "demo6.ivl"), "--formula", str(over), *extra]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: formula nests deeper than {fologic.MAX_FORMULA_DEPTH} parentheses\n"
+
+
 def test_solver_json_schema(capsys):
     code, out = run_cli(capsys, "tww", "exact", "--graph", str(DATA / "demo5.g"), "--json")
     assert code == 0
@@ -215,6 +244,17 @@ def test_exit_codes(capsys, tmp_path):
     capsys.readouterr()
     assert run(["robustness", "--case", "circle", "--pi", "1", "-r", "1", "--mode", "sampled"]) == 1
     capsys.readouterr()
+    # caps far below the guarded count: the count must not be built or printed in full
+    for argv in (
+        ["generate", "hplus-circle", "--pi", "1", "-r", "14"],
+        ["generate", "hplus-circle", "--pi", "1", "-r", "20000"],
+        ["generate", "hplus-interval", "--pi", "1", "-r", "20000"],
+        ["robustness", "--case", "interval", "--pi", "1", "-r", "1", "--mode", "exhaustive"],
+        ["robustness", "--case", "circle", "--pi", "1", "-r", "10000", "--exponent", "1", "--mode", "exhaustive"],
+    ):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("drop", ["--seq", "--claim", "--graph"])

@@ -5,6 +5,7 @@ import pytest
 
 from twinwidth.errors import BudgetExceeded, DomainError, FormatError
 from twinwidth.fologic import (
+    MAX_FORMULA_DEPTH,
     And,
     Atom,
     Eq,
@@ -33,7 +34,7 @@ from twinwidth.fologic import (
 from twinwidth.graphs import Graph
 from twinwidth.ilrep import INTERVAL, OVERLAP, build_ilmatrix, decode, rep_from_intervals
 from twinwidth.obstruction import generate_exposer
-from conftest import DEMO6_INTERVALS, complete_graph, path_graph
+from conftest import DEMO6_INTERVALS, complete_graph, nested_sentence, path_graph
 
 SOME_EDGE = parse_formula("(exists x (exists y (edge x y)))")
 
@@ -89,6 +90,9 @@ def test_parse_and_print():
         parse_formula("(exists x")
     with pytest.raises(FormatError):
         parse_formula("(exists x (edge x y)) trailing")
+    assert quantifier_depth(parse_formula(nested_sentence(MAX_FORMULA_DEPTH))) == 2
+    with pytest.raises(FormatError, match="nests deeper"):
+        parse_formula(nested_sentence(MAX_FORMULA_DEPTH + 1))
     with pytest.raises(DomainError):
         evaluate(graph_structure(path_graph("ab")), parse_formula("(edge x y)"))
 

@@ -233,14 +233,36 @@ def test_condense_output_admits_no_legal_preserving_unification():
                 assert not is_isomorphic(decode(out), decode(merged))
 
 
-def test_condense_raises_over_iso_cap():
-    from twinwidth.errors import CapExceeded
+def test_condense_has_no_vertex_cap():
     from twinwidth.obstruction import planted_mixed_minor_rep
 
-    inst = planted_mixed_minor_rep(1, INTERVAL)  # 13-vertex decoding
-    with pytest.raises(CapExceeded):
-        condense(inst.rep, iso_cap=12)
-    assert condense(inst.rep, iso_cap=14) == inst.rep
+    inst = planted_mixed_minor_rep(1, INTERVAL)  # 13-vertex decoding, already condensed
+    assert len(inst.rep.pairs) == 13
+    assert condense(inst.rep) == inst.rep
+
+
+def test_legal_unification_never_removes_an_edge():
+    # why condense compares edge sets: a legal merge can only add edges, so it
+    # keeps the graph exactly when the natural pair map keeps the edge set
+    rng = random.Random(31)
+    reps = []
+    for _ in range(40):
+        reps.append(rep_from_intervals(random_intervals(rng, rng.randint(1, 9)), INTERVAL))
+        reps.append(rep_from_intervals(random_intervals(rng, rng.randint(1, 9)), OVERLAP))
+        reps.append(rep_from_chords(random_diagram(rng, rng.randint(1, 7))))
+    legal_merges = 0
+    for rep in reps:
+        before = decode(rep)
+        for s1, s2 in zip(rep.ends, rep.ends[1:]):
+            merged, legal = unify(rep, s1, s2)
+            if not legal:
+                continue
+            legal_merges += 1
+            rho = lambda e: s1 if e == s2 else e
+            name = {pair_name(p): pair_name((rho(p[0]), rho(p[1]))) for p in rep.pairs}
+            after = decode(merged)
+            assert all(after.has_edge(name[u], name[v]) for u, v in before.edges)
+    assert legal_merges > 100
 
 
 def test_recognize_interval_roundtrip():

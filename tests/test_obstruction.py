@@ -49,7 +49,7 @@ def test_planted_interval_instance_is_condensed_and_twin_free():
 
     inst = planted_mixed_minor_rep(1, INTERVAL)
     assert not find_twins(decode(inst.rep))
-    condensed = condense(inst.rep, iso_cap=14)
+    condensed = condense(inst.rep)
     assert condensed == inst.rep
 
 

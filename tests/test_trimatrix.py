@@ -22,7 +22,7 @@ from twinwidth.trimatrix import (
     verify_division_mixed,
 )
 from twinwidth.solver import ordering_without_mixed_minor
-from conftest import DEMO5_EDGES, oracle_mixed_minor
+from conftest import DATA, DEMO5_EDGES, oracle_mixed_minor
 
 
 def random_matrix(rng, nr, nc, symbols=(0, 1)):
@@ -236,7 +236,12 @@ def test_minor_free_ordering_trivial_cases():
 def test_matrix_text_roundtrip(demo5_graph):
     m = adjacency_matrix(demo5_graph)
     m = contract_rows(m, "a", "b")
-    text = matrix_to_text(m)
-    assert matrix_from_text(text) == m
+    empty_axis = [TriMatrix.build(rows, cols, [[] for _ in rows]) for rows, cols in
+                  (([], ["a", "b"]), (["x", "y"], []), ([], []))]
+    for matrix in [m, *empty_axis]:
+        assert matrix_from_text(matrix_to_text(matrix)) == matrix
+    for path in DATA.glob("*.mat*"):
+        text = path.read_text()
+        assert matrix_to_text(matrix_from_text(text)) == text
     with pytest.raises(DomainError):
         matrix_from_text("garbage")
