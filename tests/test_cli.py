@@ -105,6 +105,26 @@ def test_golden_robustness(capsys):
     check_golden("robustness.txt", out)
 
 
+@pytest.mark.parametrize(
+    "golden, expected_code, argv",
+    [
+        ("robustness-circle-sampled.txt", 0,
+         ["--case", "circle", "--pi", "2 1", "-r", "1", "--mode", "sampled", "--samples", "5", "--seed", "5"]),
+        # u_power below 4: every script fails with a diagnostic, so the failure payload is pinned
+        ("robustness-interval-r0.txt", 1,
+         ["--case", "interval", "--pi", "1", "-r", "0", "--u-power", "1", "--exponent", "1", "--mode", "exhaustive"]),
+        ("robustness-interval-sampled.txt", 1,
+         ["--case", "interval", "--pi", "1", "-r", "1", "--u-power", "2", "--exponent", "2",
+          "--mode", "sampled", "--samples", "2", "--seed", "3"]),
+    ],
+)
+def test_golden_robustness_payloads(capsys, golden, expected_code, argv):
+    code, out = run_cli(capsys, "robustness", *argv)
+    assert code == expected_code
+    jsonschema.validate(json.loads(out), load_schema("robustness.schema.json"))
+    check_golden(golden, out)
+
+
 def test_golden_fo_check(capsys):
     code, out = run_cli(
         capsys, "fo-check", "--intervals", str(DATA / "demo6.ivl"),
