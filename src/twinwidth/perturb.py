@@ -21,6 +21,10 @@ read from the pair partners' mates is intact, just reversed.  The verifier
 therefore picks the smaller pair element as core representative and tries
 own/partner mates per side, then reads the surviving half of the doubled
 pattern.
+
+Both gadgets are lazy graphs with ``names()`` and ``adjacent(a, b)``: after a
+script, a pair is adjacent iff ``adjacent(a, b)`` XOR the parity of the script
+sets holding both ends, so verification builds no gadget and no perturbed copy.
 """
 
 from __future__ import annotations
@@ -28,12 +32,13 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from functools import cached_property
 
 from .errors import CapExceeded, DomainError, ExtractionError
 from .graphs import Graph, check_permutation, is_isomorphic, permutation_graph
-from .obstruction import check_exposes
+from .obstruction import check_exposes, generate_exposer
 
 DEFAULT_GADGET_CAP = 4096
 
@@ -94,9 +99,12 @@ class LexPowerOrders:
     def size(self) -> int:
         return len(self.base) ** self.exponent
 
+    @cached_property
+    def _digits(self) -> tuple[dict, dict]:
+        return tuple({x: i for i, x in enumerate(order)} for order in (self.base, self.base_second))
+
     def rank(self, element: tuple, second: bool = False) -> int:
-        order = self.base_second if second else self.base
-        digits = {x: i for i, x in enumerate(order)}
+        digits = self._digits[second]
         value = 0
         for coordinate in element:
             value = value * len(self.base) + digits[coordinate]
@@ -231,16 +239,85 @@ def doubled_interval_word(word: Sequence[int]) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
+# gadget orders and the script sweep shared by both gadgets
+
+
+def _gadget_orders(second: tuple, r: int, exponent: int | None, cap: int, noun: str, u_power: int | None = None):
+    """Orders on 1..len(second), to the power u_power * (exponent or 2^r), refused over the cap before building."""
+    if r < 0:
+        raise DomainError("r must be nonnegative")
+    if u_power is not None and u_power < 1:
+        raise DomainError("u_power must be positive")
+    scale = "" if u_power is None else f"{u_power}*"
+    if exponent is None and r >= cap.bit_length():  # 2^r alone would dwarf the cap
+        raise CapExceeded(f"gadget would have {len(second)}^({scale}2^{r}) {noun}, cap is {cap}")
+    # exponents below 2^r are allowed for diagnostics; robustness
+    # verification enforces its own precondition
+    s = (u_power or 1) * (exponent if exponent is not None else 2**r)
+    orders = LexPowerOrders(tuple(range(1, len(second) + 1)), second, s)
+    if _power_exceeds(len(second), s, cap):
+        raise CapExceeded(f"gadget would have {len(second)}^{s} {noun}, cap is {cap}")
+    return orders
+
+
+def _set_script(sets: Sequence[frozenset[str]], key: Callable | None):
+    """A script as the sweep runs it: member(i, vertex), and a thunk writing the script for a failure."""
+    return (lambda i, v: v in sets[i]), lambda: [sorted(x, key=key) for x in sets]
+
+
+def _perturbed(adjacent: Callable[[str, str], bool], member: Callable[[int, str], bool], r: int):
+    """Adjacency after r sets: a pair flips once for every set holding both ends."""
+    return lambda a, b: adjacent(a, b) ^ (sum(1 for i in range(r) if member(i, a) and member(i, b)) % 2 == 1)
+
+
+def _sweep(case, sizes, gadget, check, exponent, draw, key, mode, samples, seed, budget) -> "RobustnessReport":
+    """Check every script, or ``samples`` drawn ones; ``exponent`` (None: no search runs) must be >= 2^r."""
+    r = gadget.r
+    if mode == "exhaustive":
+        names = gadget.names()
+        n = len(names)
+        if _power_exceeds(2, n * r, budget):
+            raise CapExceeded(f"exhaustive mode needs 2^{n * r} scripts, budget is {budget}")
+        all_masks = itertools.product(*(range(1 << n) for _ in range(r)))  # r == 0: the one empty script
+        scripts = (_set_script([frozenset(names[i] for i in range(n) if m >> i & 1) for m in ms], key) for ms in all_masks)
+    elif mode == "sampled":
+        if seed is None:
+            raise DomainError("sampled mode needs a seed")
+        scripts = map(draw, range(samples))
+    else:
+        raise DomainError(f"unknown mode {mode!r}")
+    if exponent is not None and exponent.bit_length() <= r:  # exponent < 2^r, without building 2^r
+        raise DomainError(f"exponent {exponent} < 2^{r}; the search may fail")
+    tested, failures = 0, []
+    for tested, (member, write) in enumerate(scripts, 1):
+        why = check(gadget, member)
+        if why is not None:
+            failures.append({"script": write(), "reason": why})
+    params = {"pi": list(gadget.pi), "r": r, **sizes, "seed": seed}
+    return RobustnessReport(case, params, mode, tested, failures)
+
+
+# ---------------------------------------------------------------------------
 # circle gadget
 
 
 @dataclass(frozen=True)
 class CircleGadget:
-    graph: Graph  # permutation graph of the power permutation; vertices "1".."N"
     orders: LexPowerOrders
     word: tuple[int, ...]
     pi: tuple[int, ...]
     r: int
+
+    @cached_property
+    def graph(self) -> Graph:  # permutation graph of the power permutation; vertices "1".."N"
+        return permutation_graph(self.word)
+
+    def names(self) -> list[str]:
+        return [str(i) for i in range(1, len(self.word) + 1)]
+
+    def adjacent(self, a: str, b: str) -> bool:
+        i, j = sorted((int(a), int(b)))
+        return self.word[i - 1] > self.word[j - 1]
 
 
 def build_circle_gadget(
@@ -256,48 +333,31 @@ def build_circle_gadget(
     homogeneous-set argument supports.
     """
     w = check_permutation(word)
-    if r < 0:
-        raise DomainError("r must be nonnegative")
-    if exponent is None and r >= cap.bit_length():  # 2^r alone would dwarf the cap
-        raise CapExceeded(f"gadget would have {2 * len(w)}^(2^{r}) vertices, cap is {cap}")
-    # exponents below 2^r are allowed for diagnostics; robustness
-    # verification enforces its own precondition
-    s = exponent if exponent is not None else 2**r
-    orders = LexPowerOrders(tuple(range(1, 2 * len(w) + 1)), double_with_complement(w), s)
-    if _power_exceeds(len(orders.base), orders.exponent, cap):
-        raise CapExceeded(f"gadget would have {len(orders.base)}^{orders.exponent} vertices, cap is {cap}")
-    rho = orders.permutation_word()
-    return CircleGadget(permutation_graph(rho), orders, rho, w, r)
+    orders = _gadget_orders(double_with_complement(w), r, exponent, cap, "vertices")
+    return CircleGadget(orders, orders.permutation_word(), w, r)
 
 
-def _check_circle_script(gadget: CircleGadget, script: Sequence[frozenset[str]]) -> str | None:
-    """One script through the homogeneous pipeline; None means success."""
+def _check_circle_script(gadget: CircleGadget, member: Callable[[int, str], bool]) -> str | None:
+    """member(i, vertex name) gives the i-th perturbation set; None means success."""
     orders = gadget.orders
-    perturbed = apply_perturbation(gadget.graph, script)
-
-    def name(z: tuple) -> str:
-        return str(orders.rank(z) + 1)
-
-    sets = [(lambda x: (lambda z: name(z) in x))(x) for x in script]
+    sets = [(lambda i: (lambda z: member(i, str(orders.rank(z) + 1))))(i) for i in range(gadget.r)]
     hs = find_homogeneous_set(orders.base, orders.exponent, sets)
     elements = sorted(hs.elements, key=orders.rank)
     if not orders.restriction_is_order_isomorphic(elements):
         return "restricted orders not isomorphic to the base orders"
-    names = [name(z) for z in elements]
-    copies = set(names)
-    flips = sum(1 for x in script if copies <= x) % 2
+    names = [str(orders.rank(z) + 1) for z in elements]
+    flips = sum(1 for i in range(gadget.r) if member(i, names[0])) % 2 == 1  # the copy is homogeneous
 
-    base_graph = permutation_graph(double_with_complement(gadget.pi))
-    p2 = len(orders.base)
-    for i, j in itertools.combinations(range(p2), 2):
-        want = base_graph.has_edge(str(i + 1), str(j + 1)) ^ bool(flips)
-        if perturbed.has_edge(names[i], names[j]) != want:
+    adj = _perturbed(gadget.adjacent, member, gadget.r)
+    doubled = orders.base_second  # the doubled word double_with_complement(pi)
+    for i, j in itertools.combinations(range(len(names)), 2):
+        if adj(names[i], names[j]) != (doubled[i] > doubled[j]) ^ flips:
             return "induced block is not the doubled pattern or its complement"
 
     p = len(gadget.pi)
-    block = range(p) if not flips else range(p, 2 * p)
-    target = [names[i] for i in block]
-    if not is_isomorphic(perturbed.subgraph(target), permutation_graph(gadget.pi), cap=max(12, p)):
+    target = names[p:] if flips else names[:p]
+    surviving = Graph.build(target, [(a, b) for a, b in itertools.combinations(target, 2) if adj(a, b)])
+    if not is_isomorphic(surviving, permutation_graph(gadget.pi), cap=max(12, p)):
         return "surviving block does not induce the requested permutation graph"
     return None
 
@@ -310,46 +370,31 @@ def verify_robustness_circle(
     budget: int = 1 << 20,
 ) -> "RobustnessReport":
     """Every (or each sampled) perturbation must leave the target inside."""
-    names = sorted(gadget.graph.vertices, key=int)
-    n = len(names)
-    tested = 0
-    failures = []
+    names, rng = gadget.names(), random.Random(seed)
 
-    def run(script) -> None:
-        nonlocal tested
-        tested += 1
-        why = _check_circle_script(gadget, script)
-        if why is not None:
-            failures.append({"script": [sorted(x, key=int) for x in script], "reason": why})
+    def draw(_: int):
+        return _set_script([frozenset(v for v in names if rng.getrandbits(1)) for _ in range(gadget.r)], int)
 
-    if mode == "exhaustive":
-        if _power_exceeds(2, n * gadget.r, budget):
-            raise CapExceeded(f"exhaustive mode needs 2^{n * gadget.r} scripts, budget is {budget}")
-        if gadget.r == 0:
-            run(())
-        else:
-            for masks in itertools.product(range(2**n), repeat=gadget.r):
-                run(tuple(frozenset(names[i] for i in range(n) if mask >> i & 1) for mask in masks))
-    elif mode == "sampled":
-        if seed is None:
-            raise DomainError("sampled mode needs a seed")
-        rng = random.Random(seed)
-        for _ in range(samples):
-            run(tuple(frozenset(v for v in names if rng.getrandbits(1)) for _ in range(gadget.r)))
-    else:
-        raise DomainError(f"unknown mode {mode!r}")
-    params = {
-        "pi": list(gadget.pi),
-        "r": gadget.r,
-        "exponent": gadget.orders.exponent,
-        "vertices": gadget.orders.size,
-        "seed": seed,
-    }
-    return RobustnessReport("circle", params, mode, tested, failures)
+    sizes = {"exponent": gadget.orders.exponent, "vertices": gadget.orders.size}
+    return _sweep("circle", sizes, gadget, _check_circle_script, sizes["exponent"], draw, int, mode, samples, seed, budget)
 
 
 # ---------------------------------------------------------------------------
 # interval gadget (lazy: adjacency is defined by rank formulas)
+
+
+@dataclass(frozen=True)
+class _KindNames(Sequence):
+    """Core names w1..wN, then mates u1..uN and v1..vN, never listed: N can reach 2^40."""
+
+    size: int
+
+    def __len__(self) -> int:
+        return 3 * self.size
+
+    def __getitem__(self, index: int) -> str:
+        kind, rank = divmod(range(3 * self.size)[index], self.size)
+        return f"{'wuv'[kind]}{rank + 1}"
 
 
 @dataclass(frozen=True)
@@ -364,17 +409,8 @@ class IntervalGadget:
     def size(self) -> int:
         return self.orders.size
 
-    def vertex_count(self) -> int:
-        return 3 * self.size
-
-    def core_name(self, rank: int) -> str:
-        return f"w{rank + 1}"
-
-    def side1_name(self, rank: int) -> str:
-        return f"u{rank + 1}"
-
-    def side2_name(self, rank: int) -> str:
-        return f"v{rank + 1}"
+    def names(self) -> Sequence[str]:
+        return _KindNames(self.size)
 
     def second_rank(self, rank: int) -> int:
         return self.orders.rank(self.orders.unrank(rank), second=True)
@@ -396,10 +432,8 @@ class IntervalGadget:
         return self.second_rank(ib) <= self.second_rank(ia)
 
     def materialize(self, cap: int = DEFAULT_GADGET_CAP):
-        from .obstruction import generate_exposer
-
-        if self.vertex_count() > cap:
-            raise CapExceeded(f"gadget has {self.vertex_count()} vertices, cap is {cap}")
+        if len(self.names()) > cap:
+            raise CapExceeded(f"gadget has {len(self.names())} vertices, cap is {cap}")
         return generate_exposer(self.orders.permutation_word())
 
 
@@ -417,17 +451,8 @@ def build_interval_gadget(
     robustness verification and is only for diagnostics.
     """
     w = check_permutation(word)
-    if r < 0:
-        raise DomainError("r must be nonnegative")
-    if u_power < 1:
-        raise DomainError("u_power must be positive")
-    if exponent is None and r >= cap.bit_length():  # 2^r alone would dwarf the cap
-        raise CapExceeded(f"gadget would have {4 * len(w)}^({u_power}*2^{r}) core vertices, cap is {cap}")
-    z_power = exponent if exponent is not None else 2**r
-    orders = LexPowerOrders(tuple(range(1, 4 * len(w) + 1)), doubled_interval_word(w), u_power * z_power)
-    if _power_exceeds(len(orders.base), orders.exponent, cap):
-        raise CapExceeded(f"gadget would have {len(orders.base)}^{orders.exponent} core vertices, cap is {cap}")
-    return IntervalGadget(orders, w, r, u_power, z_power)
+    orders = _gadget_orders(doubled_interval_word(w), r, exponent, cap, "core vertices", u_power)
+    return IntervalGadget(orders, w, r, u_power, orders.exponent // u_power)
 
 
 def _check_interval_script(gadget: IntervalGadget, member: Callable[[int, str], bool]) -> str | None:
@@ -441,12 +466,8 @@ def _check_interval_script(gadget: IntervalGadget, member: Callable[[int, str], 
     u_by_second = tuple(sorted(u_elements, key=lambda e: u_orders.rank(e, second=True)))
     z_orders = LexPowerOrders(u_elements, u_by_second, gadget.z_power)
 
-    def flat(nested: tuple) -> tuple:
-        return tuple(c for block in nested for c in block)
-
     def vertex(kind: str, nested: tuple) -> str:
-        rank = orders.rank(flat(nested))
-        return {"w": gadget.core_name, "u": gadget.side1_name, "v": gadget.side2_name}[kind](rank)
+        return f"{kind}{orders.rank(itertools.chain.from_iterable(nested)) + 1}"
 
     # Step 1: a homogeneous copy of U inside Z.
     sets = [(lambda i: (lambda nested: member(i, vertex("w", nested))))(i) for i in range(gadget.r)]
@@ -471,10 +492,7 @@ def _check_interval_script(gadget: IntervalGadget, member: Callable[[int, str], 
     if not u_orders.restriction_is_order_isomorphic(u0):
         return "second restriction not order-isomorphic"
     t_core = [iota[u] for u in u0]  # one core vertex per ground element of T
-
-    def adj(a: str, b: str) -> bool:
-        flips = sum(1 for i in range(gadget.r) if member(i, a) and member(i, b)) % 2
-        return gadget.adjacent(a, b) ^ bool(flips)
+    adj = _perturbed(gadget.adjacent, member, gadget.r)
 
     # Step 3: pick pair representatives and mates, read the surviving block.
     p = len(gadget.pi)
@@ -512,16 +530,8 @@ def _block_exposes(target, adj, names, mates1, mates2) -> bool:
             continue
         chosen = [(names[i], mates1[i], mates2[i]) for i in sub]
         h_vertices = [v for triple in chosen for v in triple]
-        edges = [
-            (a, b)
-            for a, b in itertools.combinations(sorted(h_vertices), 2)
-            if adj(a, b)
-        ]
-        h = Graph.build(h_vertices, edges)
-        core_order = tuple(t[0] for t in chosen)
-        w1 = tuple(t[1] for t in chosen)
-        w2 = tuple(t[2] for t in chosen)
-        if check_exposes(h, core_order, w1, w2, target):
+        h = Graph.build(h_vertices, [(a, b) for a, b in itertools.combinations(h_vertices, 2) if adj(a, b)])
+        if check_exposes(h, *zip(*chosen), target):
             return True
     return False
 
@@ -543,43 +553,13 @@ def verify_robustness_interval(
     Sampled scripts are pseudo-random vertex subsets derived from the seed;
     the gadget graph stays lazy, only witness subgraphs materialize.
     """
-    n = gadget.vertex_count()
-    tested = 0
-    failures = []
-    if mode == "exhaustive":
-        if _power_exceeds(2, n * gadget.r, budget):
-            raise CapExceeded(f"exhaustive mode needs 2^{n * gadget.r} scripts, budget is {budget}")
-        names = (
-            [gadget.core_name(i) for i in range(gadget.size)]
-            + [gadget.side1_name(i) for i in range(gadget.size)]
-            + [gadget.side2_name(i) for i in range(gadget.size)]
-        )
-        masks_iter = itertools.product(range(2**n), repeat=gadget.r) if gadget.r else [()]
-        for masks in masks_iter:
-            chosen = [frozenset(names[i] for i in range(n) if mask >> i & 1) for mask in masks]
-            tested += 1
-            why = _check_interval_script(gadget, lambda i, v: v in chosen[i])
-            if why is not None:
-                failures.append({"script": [sorted(x) for x in chosen], "reason": why})
-    elif mode == "sampled":
-        if seed is None:
-            raise DomainError("sampled mode needs a seed")
-        for idx in range(samples):
-            tested += 1
-            why = _check_interval_script(gadget, lambda i, v, si=idx: _hash_member(seed, si, i, v))
-            if why is not None:
-                failures.append({"script": f"hash sample {idx} (seed {seed})", "reason": why})
-    else:
-        raise DomainError(f"unknown mode {mode!r}")
-    params = {
-        "pi": list(gadget.pi),
-        "r": gadget.r,
-        "u_power": gadget.u_power,
-        "z_power": gadget.z_power,
-        "core_vertices": gadget.size,
-        "seed": seed,
-    }
-    return RobustnessReport("interval", params, mode, tested, failures)
+
+    def draw(idx: int):
+        return (lambda i, v: _hash_member(seed, idx, i, v)), lambda: f"hash sample {idx} (seed {seed})"
+
+    sizes = {"u_power": gadget.u_power, "z_power": gadget.z_power, "core_vertices": gadget.size}
+    e = gadget.z_power if gadget.u_power >= 4 else None  # below 4, scripts stop before any search
+    return _sweep("interval", sizes, gadget, _check_interval_script, e, draw, None, mode, samples, seed, budget)
 
 
 @dataclass(frozen=True)

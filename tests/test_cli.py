@@ -271,6 +271,11 @@ def test_exit_codes(capsys, tmp_path):
         ["generate", "hplus-interval", "--pi", "1", "-r", "20000"],
         ["robustness", "--case", "interval", "--pi", "1", "-r", "1", "--mode", "exhaustive"],
         ["robustness", "--case", "circle", "--pi", "1", "-r", "10000", "--exponent", "1", "--mode", "exhaustive"],
+        # the homogeneous-set precondition exponent >= 2^r is refused before any script is drawn
+        ["robustness", "--case", "circle", "--pi", "1", "-r", "10000000", "--exponent", "1",
+         "--mode", "sampled", "--samples", "1", "--seed", "1"],
+        ["robustness", "--case", "interval", "--pi", "1", "-r", "10000000", "--exponent", "1",
+         "--mode", "sampled", "--samples", "1", "--seed", "1"],
     ):
         assert run(argv) == 1
         err = capsys.readouterr().err

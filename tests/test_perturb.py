@@ -8,6 +8,7 @@ from twinwidth.graphs import Graph, is_isomorphic, permutation_graph
 from twinwidth.obstruction import check_exposes, generate_exposer
 from twinwidth.perturb import (
     LexPowerOrders,
+    _perturbed,
     apply_perturbation,
     build_circle_gadget,
     build_interval_gadget,
@@ -199,6 +200,38 @@ def test_interval_robustness_p2_sampled():
     gadget = build_interval_gadget((2, 1), 1)
     rep = verify_robustness_interval(gadget, mode="sampled", samples=2, seed=3)
     assert not rep.failures
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_lazy_perturbed_adjacency_matches_apply_perturbation(r):
+    # the parity rule the checks read must agree pair for pair with the
+    # materialized graph after apply_perturbation
+    rng = random.Random(34 + r)
+    circles = [build_circle_gadget((1,), 0), build_circle_gadget((2, 1), 1), build_circle_gadget((2, 1), 2)]
+    assert [len(c.graph.vertices) for c in circles] == [2, 16, 256]
+    interval = build_interval_gadget((1,), 1, exponent=1)
+    lazy_and_graphs = [(c, c.graph) for c in circles] + [(interval, interval.materialize(cap=1024).graph)]
+    for gadget, graph in lazy_and_graphs:
+        names = list(gadget.names())
+        assert len(names) == len(graph.vertices) and set(names) == graph.vertices
+        script = [frozenset(v for v in names if rng.random() < 0.5) for _ in range(r)]
+        reference = apply_perturbation(graph, script)
+        adj = _perturbed(gadget.adjacent, lambda i, v: v in script[i], r)
+        for a, b in itertools.combinations(names, 2):
+            assert adj(a, b) == reference.has_edge(a, b), (a, b)
+
+
+def test_precondition_checked_before_any_script():
+    # exponent < 2^r is refused up front, even when no script would run
+    weak_circle = build_circle_gadget((1,), 2, exponent=3)
+    weak_interval = build_interval_gadget((1,), 2, exponent=3)
+    for verify, gadget in ((verify_robustness_circle, weak_circle), (verify_robustness_interval, weak_interval)):
+        with pytest.raises(DomainError, match=r"exponent 3 < 2\^2"):
+            verify(gadget, mode="sampled", samples=0, seed=1)
+    # below u_power 4 no script reaches the search, so each one reports the diagnostic instead
+    diagnostic = build_interval_gadget((1,), 2, u_power=1, exponent=1)
+    report = verify_robustness_interval(diagnostic, mode="sampled", samples=2, seed=1)
+    assert report.scripts_tested == 2 and len(report.failures) == 2
 
 
 def test_robustness_report_json_shape():
