@@ -3,7 +3,8 @@
 The oracles here recompute expected values by brute force along a different
 code path than the operations under test: full enumeration of contraction
 sequences, direct chord-crossing and interval-intersection predicates on the
-raw input values, and full two-axis division enumeration for mixed minors.
+raw input values, full two-axis division enumeration for mixed minors, and
+plain recursion over formula syntax for first-order truth.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from twinwidth import fologic as fo
 from twinwidth.graphs import Graph, Trigraph, contract
 from twinwidth.ilrep import INTERVAL, OVERLAP, IntervalLikeRep, rep_from_intervals
 from twinwidth.trimatrix import TriMatrix, _zone_mixed
@@ -141,3 +143,32 @@ def oracle_mixed_minor(m: TriMatrix, k: int) -> bool:
             if all(_zone_mixed(m, r0, r1, c0, c1) for r0, r1 in rb for c0, c1 in cb):
                 return True
     return False
+
+
+def naive_truth(st: fo.Structure, f: fo.Formula, env: dict[str, str] | None = None) -> bool:
+    """Truth of f on st under env (variable -> element), by plain recursion.
+
+    Every quantifier copies the env dict per element; there is no memo, no
+    budget and no compilation, so this shares nothing with ``evaluate``.
+    """
+    env = env or {}
+    if isinstance(f, fo.TrueF):
+        return True
+    if isinstance(f, fo.FalseF):
+        return False
+    if isinstance(f, fo.Eq):
+        return env[f.left] == env[f.right]
+    if isinstance(f, fo.Atom):
+        if len(f.args) == 1:
+            return env[f.args[0]] in st.marks[f.rel]
+        return (env[f.args[0]], env[f.args[1]]) in st.relations[f.rel]
+    if isinstance(f, fo.Not):
+        return not naive_truth(st, f.body, env)
+    if isinstance(f, fo.And):
+        return all(naive_truth(st, p, env) for p in f.parts)
+    if isinstance(f, fo.Or):
+        return any(naive_truth(st, p, env) for p in f.parts)
+    if isinstance(f, fo.Implies):
+        return not naive_truth(st, f.left, env) or naive_truth(st, f.right, env)
+    pick = any if isinstance(f, fo.Exists) else all
+    return pick(naive_truth(st, f.body, {**env, f.var: a}) for a in st.domain)

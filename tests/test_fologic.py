@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+from functools import partial
 
 import pytest
 
@@ -32,9 +34,9 @@ from twinwidth.fologic import (
     transduction_image,
 )
 from twinwidth.graphs import Graph
-from twinwidth.ilrep import INTERVAL, OVERLAP, build_ilmatrix, decode, rep_from_intervals
+from twinwidth.ilrep import INTERVAL, OVERLAP, build_ilmatrix, decode, intervals_from_text, rep_from_intervals
 from twinwidth.obstruction import generate_exposer
-from conftest import DEMO6_INTERVALS, complete_graph, nested_sentence, path_graph
+from conftest import DATA, DEMO6_INTERVALS, complete_graph, naive_truth, nested_sentence, path_graph
 
 SOME_EDGE = parse_formula("(exists x (exists y (edge x y)))")
 
@@ -71,6 +73,130 @@ def random_formula(rng, vars_avail, depth, budget):
         random_formula(rng, vars_avail, depth, budget),
     )
     return And(parts) if k == "and" else Or(parts)
+
+
+def random_sentence(rng, depth, size):
+    """A sentence over edge, marks p/q, =, true, not/and/or/imp and quantifiers.
+
+    Variables come from a pool of three names, so quantifiers often shadow one
+    another, and an earlier subformula object is sometimes reused, so one
+    object can occur at several sites of the tree.
+    """
+    pool = []
+    left = [size]
+
+    def gen(bound, depth):
+        reusable = [f for f in pool if f.free_vars <= bound]
+        if reusable and rng.random() < 0.15:
+            return rng.choice(reusable)
+        kinds = ["true", "edge", "edge", "mark", "eq"]
+        if left[0] > 0:
+            kinds += ["not", "and", "or", "imp"] + ["exists", "forall"] * 3 * (depth > 0)
+        k = rng.choice(kinds)
+        var = lambda: rng.choice(sorted(bound))
+        if k in ("true", "false"):
+            f = TrueF() if k == "true" else FalseF()
+        elif k == "edge":
+            f = Atom("edge", (var(), var()))
+        elif k == "mark":
+            f = Atom(rng.choice("pq"), (var(),))
+        elif k == "eq":
+            f = Eq(var(), var())
+        else:
+            left[0] -= 1
+            if k == "not":
+                f = Not(gen(bound, depth))
+            elif k == "imp":
+                f = Implies(gen(bound, depth), gen(bound, depth))
+            elif k in ("and", "or"):
+                parts = tuple(gen(bound, depth) for _ in range(rng.randint(0, 3)))
+                f = And(parts) if k == "and" else Or(parts)
+            else:
+                f = quantified(k, bound, depth)
+        pool.append(f)
+        return f
+
+    def quantified(k, bound, depth):
+        v = rng.choice("xyz")
+        return (Exists if k == "exists" else Forall)(v, gen(bound | {v}, depth - 1))
+
+    return quantified(rng.choice(("exists", "forall")), frozenset(), depth)
+
+
+def random_marked_structure(rng):
+    vs = "abcde"[: rng.randint(1, 5)]
+    g = Graph.build(vs, [e for e in itertools.combinations(vs, 2) if rng.random() < 0.5])
+    return graph_structure(g, {m: [v for v in vs if rng.random() < 0.5] for m in "pq"})
+
+
+SHADOWED = "(forall x (exists x (edge x x)))"
+
+
+def shared_sentence():
+    """(forall x (and P (or P true))) with one object P at both sites."""
+    p = parse_formula("(exists y (edge x y))")
+    return Forall("x", And((p, Or((p, TrueF())))))
+
+
+def test_evaluate_matches_naive_oracle():
+    rng = random.Random(22)
+    for _ in range(400):
+        st = random_marked_structure(rng)
+        f = random_sentence(rng, 4, 16)
+        assert evaluate(st, f) == naive_truth(st, f), formula_to_text(f)
+    for g in (path_graph("abc"), complete_graph("abcd"), Graph.build("ab", [])):
+        st = graph_structure(g)
+        for f in (parse_formula(SHADOWED), shared_sentence()):
+            assert evaluate(st, f) == naive_truth(st, f)
+
+
+FO_FORMULAS = {
+    "c4free": "(not (exists a (exists b (exists c (exists d (and (edge a b) (edge b c) (edge c d) (edge d a)"
+    " (not (edge a c)) (not (edge b d)) (not (= a c)) (not (= b d))))))))",
+    "dominating": (DATA / "dominating.fo").read_text(),
+}
+
+
+def _budget_cases():
+    """Case name -> callable(budget) whose evaluation budget use is pinned."""
+    cases = {}
+    for model in ("demo6", "abovecap13", "p3slack"):
+        rep = rep_from_intervals(intervals_from_text((DATA / f"{model}.ivl").read_text()), INTERVAL)
+        for name, text in FO_FORMULAS.items():
+            cases[f"{model}-{name}-pipeline"] = partial(modelcheck_pipeline, rep, parse_formula(text))
+            cases[f"{model}-{name}-direct"] = partial(modelcheck_direct, rep, parse_formula(text))
+    for kind in (INTERVAL, OVERLAP):
+        st = matrix_structure(build_ilmatrix(rep_from_intervals(DEMO6_INTERVALS, kind)))
+        cases[f"demo6-interpret-{kind}"] = partial(interpret, interpretation_for(kind), st)
+    for name, g in (("path", path_graph("abc")), ("complete", complete_graph("abcd"))):
+        cases[f"shadowed-{name}"] = partial(evaluate, graph_structure(g), parse_formula(SHADOWED))
+        cases[f"shared-{name}"] = partial(evaluate, graph_structure(g), shared_sentence())
+    rng = random.Random(23)
+    for i in range(60):
+        cases[f"random-{i}"] = partial(evaluate, random_marked_structure(rng), random_sentence(rng, 4, 16))
+    return cases
+
+
+def _plain(value):
+    if isinstance(value, bool):
+        return value
+    return {"domain": list(value.domain), "edge": sorted(map(list, value.relations["edge"]))}
+
+
+BUDGET_CASES = _budget_cases()
+
+
+@pytest.mark.parametrize("case", sorted(BUDGET_CASES))
+def test_budget_use_golden(case):
+    # N is the exact number of quantifier instantiations: N suffices, N - 1 does not
+    golden = json.loads((DATA / "golden" / "fo-budget.json").read_text())
+    assert golden.keys() == BUDGET_CASES.keys()
+    run = BUDGET_CASES[case]
+    n = golden[case]["budget"]
+    assert _plain(run(budget=n)) == golden[case]["value"]
+    if n:
+        with pytest.raises(BudgetExceeded):
+            run(budget=n - 1)
 
 
 def test_evaluate_examples(demo6_rep):
