@@ -244,14 +244,16 @@ def _cmd_robustness(args) -> int:
     word = _parse_pi(args.pi)
     if args.mode == "sampled" and args.seed is None:
         raise DomainError("sampled mode needs --seed for reproducibility")
+    # without --cap each builder keeps its own default
+    cap = {} if args.cap is None else {"cap": args.cap}
     if args.case == "circle":
-        gadget = perturb.build_circle_gadget(word, args.r, exponent=args.exponent, cap=args.cap)
+        gadget = perturb.build_circle_gadget(word, args.r, exponent=args.exponent, **cap)
         report = perturb.verify_robustness_circle(
             gadget, mode=args.mode, samples=args.samples, seed=args.seed, budget=args.budget
         )
     else:
         gadget = perturb.build_interval_gadget(
-            word, args.r, u_power=args.u_power, exponent=args.exponent
+            word, args.r, u_power=args.u_power, exponent=args.exponent, **cap
         )
         report = perturb.verify_robustness_interval(
             gadget, mode=args.mode, samples=args.samples, seed=args.seed, budget=args.budget
@@ -353,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--exponent", type=int)
     p.add_argument("--u-power", type=int, default=4)
-    p.add_argument("--cap", type=int, default=perturb.DEFAULT_GADGET_CAP)
+    p.add_argument("--cap", type=int, help="gadget size cap (default: the builder's own)")
     p.add_argument("--budget", type=int, default=1 << 20)
     p.set_defaults(func=_cmd_robustness)
 

@@ -1,9 +1,15 @@
 """First-order formulas over finite binary structures, by brute force.
 
 Formulas are plain syntax trees; structures carry a finite domain, named
-binary relations and named unary marks.  Evaluation expands quantifiers over
-the domain with short-circuiting, an operation budget, and memoization of
-subformula truth per assignment of its free variables.
+binary relations and named unary marks.  Each ``evaluate`` or ``interpret``
+call compiles its formulas once into nested closures over element indices,
+with one bitmask per mark and per element of each relation; every atom's
+relation, mark and arity is checked before anything is evaluated.  Evaluation
+expands quantifiers over the domain with short-circuiting and a budget that
+counts quantifier instantiations (one per element a quantifier binds).
+Subformula truth is memoized per assignment of its free variables, but only
+where a later visit could hit the entry, so values and budget use are those
+of memoizing every subformula.
 
 Interpretations rewrite formulas instead of structures where needed: a graph
 formula is translated onto a representation matrix structure (domain rows
@@ -17,6 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded, DomainError, FormatError
@@ -36,7 +43,8 @@ MAX_FORMULA_DEPTH = 256
 class Formula:
     @cached_property
     def free_vars(self) -> frozenset[str]:
-        raise NotImplementedError
+        inner = frozenset().union(*map(attrgetter("free_vars"), _children(self)))
+        return inner - {self.var} if isinstance(self, (Exists, Forall)) else inner
 
     @cached_property
     def _free_sorted(self) -> tuple[str, ...]:
@@ -45,16 +53,12 @@ class Formula:
 
 @dataclass(frozen=True)
 class TrueF(Formula):
-    @cached_property
-    def free_vars(self):
-        return frozenset()
+    pass
 
 
 @dataclass(frozen=True)
 class FalseF(Formula):
-    @cached_property
-    def free_vars(self):
-        return frozenset()
+    pass
 
 
 @dataclass(frozen=True)
@@ -81,27 +85,15 @@ class Eq(Formula):
 class Not(Formula):
     body: Formula
 
-    @cached_property
-    def free_vars(self):
-        return self.body.free_vars
-
 
 @dataclass(frozen=True)
 class And(Formula):
     parts: tuple[Formula, ...]
 
-    @cached_property
-    def free_vars(self):
-        return frozenset().union(*(p.free_vars for p in self.parts)) if self.parts else frozenset()
-
 
 @dataclass(frozen=True)
 class Or(Formula):
     parts: tuple[Formula, ...]
-
-    @cached_property
-    def free_vars(self):
-        return frozenset().union(*(p.free_vars for p in self.parts)) if self.parts else frozenset()
 
 
 @dataclass(frozen=True)
@@ -109,19 +101,11 @@ class Implies(Formula):
     left: Formula
     right: Formula
 
-    @cached_property
-    def free_vars(self):
-        return self.left.free_vars | self.right.free_vars
-
 
 @dataclass(frozen=True)
 class Exists(Formula):
     var: str
     body: Formula
-
-    @cached_property
-    def free_vars(self):
-        return self.body.free_vars - {self.var}
 
 
 @dataclass(frozen=True)
@@ -129,9 +113,17 @@ class Forall(Formula):
     var: str
     body: Formula
 
-    @cached_property
-    def free_vars(self):
-        return self.body.free_vars - {self.var}
+
+def _children(f: Formula) -> tuple[Formula, ...]:
+    if isinstance(f, (And, Or)):
+        return f.parts
+    if isinstance(f, Implies):
+        return (f.left, f.right)
+    if isinstance(f, (Not, Exists, Forall)):
+        return (f.body,)
+    if isinstance(f, (TrueF, FalseF, Atom, Eq)):
+        return ()
+    raise DomainError(f"unknown formula node {f!r}")
 
 
 def _tokenize(text: str) -> list[str]:
@@ -227,15 +219,7 @@ def formula_to_text(f: Formula) -> str:
 
 
 def quantifier_depth(f: Formula) -> int:
-    if isinstance(f, (TrueF, FalseF, Atom, Eq)):
-        return 0
-    if isinstance(f, Not):
-        return quantifier_depth(f.body)
-    if isinstance(f, (And, Or)):
-        return max((quantifier_depth(p) for p in f.parts), default=0)
-    if isinstance(f, Implies):
-        return max(quantifier_depth(f.left), quantifier_depth(f.right))
-    return 1 + quantifier_depth(f.body)
+    return isinstance(f, (Exists, Forall)) + max(map(quantifier_depth, _children(f)), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -299,70 +283,140 @@ def structure_to_graph(st: Structure, relation: str = "edge") -> Graph:
 
 def evaluate(st: Structure, f: Formula, budget: int = DEFAULT_EVAL_BUDGET) -> bool:
     """Truth of a closed formula by exhaustive quantifier expansion."""
-    if f.free_vars:
-        raise DomainError(f"formula has free variables: {sorted(f.free_vars)}")
-    return _eval(st, f, {}, [budget], {})
+    (run,) = _compile(st, [((), f)], budget)
+    return run()
 
 
-def _eval(st: Structure, f: Formula, env: dict[str, str], budget: list[int], memo: dict) -> bool:
-    key = (id(f), tuple(env[v] for v in f._free_sorted))
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    value = _eval_raw(st, f, env, budget, memo)
-    memo[key] = value
-    return value
+def _compile(st: Structure, roots: Sequence[tuple[Sequence[str], Formula]], budget: int) -> list:
+    """Compile each (params, formula) root into a closure from param element indices to truth.
+
+    Elements are 0..D-1, every binding is a slot of one shared ``env`` list,
+    and all roots share the budget and the memo.  A memo entry is keyed by the
+    node and the values of its sorted free variables, and is kept only where
+    a later visit could hit it: a leaf is recomputed, and so is a node whose
+    free variables are every visible binding, none shadowed, when neither it
+    nor an ancestor occurs twice in the trees.
+    """
+    index = {a: i for i, a in enumerate(st.domain)}
+    span = range(len(st.domain))
+    env: list[int] = []
+    tables: dict[int, dict] = {}
+    bits: dict[tuple[str, int], object] = {}
+    seen: dict[int, int] = {}
+    stack = []
+    for params, f in roots:
+        unbound = f.free_vars - set(params)
+        if unbound:
+            raise DomainError(f"formula has free variables: {sorted(unbound)}")
+        stack.append(f)
+    while stack:  # count occurrences and check every atom against st before any evaluation
+        f = stack.pop()
+        seen[id(f)] = seen.get(id(f), 0) + 1
+        stack.extend(_children(f))
+        if isinstance(f, Atom) and (f.rel, len(f.args)) not in bits:
+            if len(f.args) == 1:
+                if f.rel not in st.marks:
+                    raise DomainError(f"unknown mark {f.rel!r}")
+                bits[f.rel, 1] = sum(1 << index[a] for a in st.marks[f.rel])
+            elif len(f.args) == 2:
+                if f.rel not in st.relations:
+                    raise DomainError(f"unknown relation {f.rel!r}")
+                rows = bits[f.rel, 2] = [0] * len(span)
+                for a, b in st.relations[f.rel]:
+                    rows[index[a]] |= 1 << index[b]
+            else:
+                raise DomainError(f"relation {f.rel!r} has unsupported arity {len(f.args)}")
+
+    def quantifier(body, s: int, exists: bool):
+        def run():
+            nonlocal budget
+            for el in span:
+                budget -= 1
+                if budget < 0:
+                    raise BudgetExceeded("evaluation budget exhausted")
+                env[s] = el
+                if body():
+                    if exists:
+                        return True
+                elif not exists:
+                    return False
+            return not exists
+
+        return run
+
+    def memoized(raw, table: dict, key_of):
+        def run():
+            key = key_of(env)
+            hit = table.get(key)
+            if hit is None:
+                hit = table[key] = raw()
+            return hit
+
+        return run
+
+    def build(f: Formula, scope: dict[str, int], path: tuple[str, ...], unique: bool):
+        if isinstance(f, (TrueF, FalseF)):
+            value = isinstance(f, TrueF)
+            return lambda: value
+        if isinstance(f, Eq):
+            a, b = scope[f.left], scope[f.right]
+            return lambda: env[a] == env[b]
+        if isinstance(f, Atom):
+            m, a = bits[f.rel, len(f.args)], scope[f.args[0]]
+            if len(f.args) == 1:
+                return lambda: m >> env[a] & 1
+            b = scope[f.args[1]]
+            return lambda: m[env[a]] >> env[b] & 1
+        unique = unique and seen[id(f)] == 1
+        if isinstance(f, (Exists, Forall)):
+            s = len(path)
+            if s == len(env):
+                env.append(0)
+            body = build(f.body, {**scope, f.var: s}, path + (f.var,), unique)
+            raw = quantifier(body, s, isinstance(f, Exists))
+        else:
+            parts = [build(p, scope, path, unique) for p in _children(f)]
+            if isinstance(f, Not):
+                (body,) = parts
+                raw = lambda: not body()
+            elif isinstance(f, Implies):
+                left, right = parts
+                raw = lambda: not left() or right()
+            else:
+                raw = _junction(parts, isinstance(f, And))
+        if unique and len(set(path)) == len(path) == len(f.free_vars):
+            return raw
+        slots = [scope[v] for v in f._free_sorted]
+        key_of = itemgetter(*slots) if slots else lambda env: ()
+        return memoized(raw, tables.setdefault(id(f), {}), key_of)
+
+    def root(params: Sequence[str], f: Formula):
+        path = tuple(params)
+        env.extend([0] * (len(path) - len(env)))
+        run = build(f, {v: i for i, v in enumerate(path)}, path, True)
+
+        def call(*args: int) -> bool:
+            env[: len(args)] = args
+            return bool(run())
+
+        return call
+
+    return [root(params, f) for params, f in roots]
 
 
-def _eval_raw(st: Structure, f: Formula, env, budget, memo) -> bool:
-    if isinstance(f, TrueF):
-        return True
-    if isinstance(f, FalseF):
-        return False
-    if isinstance(f, Eq):
-        return env[f.left] == env[f.right]
-    if isinstance(f, Atom):
-        if len(f.args) == 1:
-            mark = st.marks.get(f.rel)
-            if mark is None:
-                raise DomainError(f"unknown mark {f.rel!r}")
-            return env[f.args[0]] in mark
-        if len(f.args) == 2:
-            rel = st.relations.get(f.rel)
-            if rel is None:
-                raise DomainError(f"unknown relation {f.rel!r}")
-            return (env[f.args[0]], env[f.args[1]]) in rel
-        raise DomainError(f"relation {f.rel!r} has unsupported arity {len(f.args)}")
-    if isinstance(f, Not):
-        return not _eval(st, f.body, env, budget, memo)
-    if isinstance(f, And):
-        return all(_eval(st, p, env, budget, memo) for p in f.parts)
-    if isinstance(f, Or):
-        return any(_eval(st, p, env, budget, memo) for p in f.parts)
-    if isinstance(f, Implies):
-        return (not _eval(st, f.left, env, budget, memo)) or _eval(st, f.right, env, budget, memo)
-    if isinstance(f, (Exists, Forall)):
-        want = isinstance(f, Exists)
-        shadow = env.get(f.var)
-        for el in st.domain:
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise BudgetExceeded("evaluation budget exhausted")
-            env[f.var] = el
-            got = _eval(st, f.body, env, budget, memo)
-            if got == want:
-                _restore(env, f.var, shadow)
-                return want
-        _restore(env, f.var, shadow)
-        return not want
-    raise DomainError(f"unknown formula node {f!r}")
+def _junction(parts: list, conj: bool):
+    """Short-circuit And (conj) or Or over compiled parts; two parts are unrolled."""
+    if len(parts) == 2:
+        a, b = parts
+        return (lambda: a() and b()) if conj else (lambda: a() or b())
 
+    def run():
+        for p in parts:
+            if (not p()) is conj:  # a false part decides an And, a true part an Or
+                return not conj
+        return conj
 
-def _restore(env: dict[str, str], var: str, shadow: str | None) -> None:
-    if shadow is None:
-        env.pop(var, None)
-    else:
-        env[var] = shadow
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -405,22 +459,19 @@ def _subst(f: Formula, mapping: dict[str, str], fresh: itertools.count) -> Formu
 
 def interpret(iota: Interpretation, st: Structure, budget: int = DEFAULT_EVAL_BUDGET) -> Structure:
     """Apply an interpretation structure-side (domain and relations pointwise)."""
-    budget_box = [budget]
-    memo: dict = {}
-    dom = [
-        a
-        for a in st.domain
-        if _eval(st, iota.domain_formula, {iota.domain_var: a}, budget_box, memo)
-    ]
-    rels = {}
-    for name, (params, body) in iota.relations.items():
-        if len(params) != 2:
-            raise DomainError("only binary output relations are supported")
-        pairs = set()
-        for a, b in itertools.product(dom, repeat=2):
-            if _eval(st, body, {params[0]: a, params[1]: b}, budget_box, memo):
-                pairs.add((a, b))
-        rels[name] = frozenset(pairs)
+    if any(len(params) != 2 for params, _ in iota.relations.values()):
+        raise DomainError("only binary output relations are supported")
+    in_domain, *defs = _compile(
+        st, [((iota.domain_var,), iota.domain_formula), *iota.relations.values()], budget
+    )
+    picked = [i for i in range(len(st.domain)) if in_domain(i)]
+    dom = [st.domain[i] for i in picked]
+    rels = {
+        name: frozenset(
+            (st.domain[a], st.domain[b]) for a, b in itertools.product(picked, repeat=2) if holds(a, b)
+        )
+        for name, holds in zip(iota.relations, defs)
+    }
     return Structure(tuple(dom), rels, {})
 
 

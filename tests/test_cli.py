@@ -175,6 +175,17 @@ def test_fo_check_nesting_limit(capsys, tmp_path):
         assert err == f"error: formula nests deeper than {fologic.MAX_FORMULA_DEPTH} parentheses\n"
 
 
+@pytest.mark.parametrize("text", ["(exists x (or true (foo x x)))", "(exists x (or true (m x)))"])
+def test_fo_check_unknown_symbol_fails_on_both_paths(capsys, tmp_path, text):
+    # the atom is never reached, but an unknown relation or mark is still an error
+    path = tmp_path / "f.fo"
+    path.write_text(text + "\n")
+    for extra in ([], ["--direct"]):
+        assert run(["fo-check", "--intervals", str(DATA / "demo6.ivl"), "--formula", str(path), *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_solver_json_schema(capsys):
     code, out = run_cli(capsys, "tww", "exact", "--graph", str(DATA / "demo5.g"), "--json")
     assert code == 0
@@ -270,6 +281,9 @@ def test_exit_codes(capsys, tmp_path):
         ["generate", "hplus-circle", "--pi", "1", "-r", "20000"],
         ["generate", "hplus-interval", "--pi", "1", "-r", "20000"],
         ["robustness", "--case", "interval", "--pi", "1", "-r", "1", "--mode", "exhaustive"],
+        # --cap reaches the interval builder too
+        ["robustness", "--case", "interval", "--pi", "1", "-r", "0", "--cap", "1",
+         "--mode", "sampled", "--samples", "1", "--seed", "1"],
         ["robustness", "--case", "circle", "--pi", "1", "-r", "10000", "--exponent", "1", "--mode", "exhaustive"],
         # the homogeneous-set precondition exponent >= 2^r is refused before any script is drawn
         ["robustness", "--case", "circle", "--pi", "1", "-r", "10000000", "--exponent", "1",
