@@ -277,11 +277,10 @@ def _cmd_fo_check(args) -> int:
 # argument parsing
 
 
-def _add_rep_inputs(p: argparse.ArgumentParser, kinds: bool = True) -> None:
+def _add_rep_inputs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--intervals", help="interval file (.ivl)")
     p.add_argument("--chords", help="chord diagram file (.chd)")
-    if kinds:
-        p.add_argument("--kind", choices=ilrep.KINDS, help="decoding kind (default: interval for .ivl, overlap for .chd)")
+    p.add_argument("--kind", choices=ilrep.KINDS, help="decoding kind (default: interval for .ivl, overlap for .chd)")
 
 
 def build_parser() -> argparse.ArgumentParser:

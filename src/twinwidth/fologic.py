@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
 
@@ -590,6 +590,7 @@ def _leq_formula(mark: str, x: str, y: str) -> Formula:
     )
 
 
+@cache  # transduce_permutation asks for the same two trees on every mark assignment
 def _linear_order_formula(mark_domain: str, mark: str) -> Formula:
     def guarded(vars_: Sequence[str], body: Formula) -> Formula:
         out = body

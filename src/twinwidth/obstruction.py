@@ -26,14 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import CapExceeded, DomainError, ExtractionError
-from .graphs import (
-    Graph,
-    check_permutation,
-    find_twins,
-    inverse_permutation,
-    is_isomorphic,
-    permutation_graph,
-)
+from .graphs import Graph, check_permutation, find_twins, inverse_permutation
 from .ilrep import INTERVAL, OVERLAP, IlMatrix, IntervalLikeRep, build_ilmatrix, decode, pair_name
 from .trimatrix import Division, MixedMinorWitness, find_mixed_minor, permutation_matrix, verify_division_mixed
 
@@ -151,7 +144,9 @@ def extract_perm_submatrix(
 
 @dataclass(frozen=True)
 class CirclePermWitness:
-    vertices: tuple[str, ...]
+    """The vertex order is the map: ``vertices[i]`` plays position i + 1 of ``permutation_graph(perm)``."""
+
+    vertices: tuple[str, ...]  # the submatrix row order
     perm: tuple[int, ...]  # the requested permutation; the subgraph realizes it
     submatrix: PermSubmatrixWitness
     verified: bool
@@ -170,7 +165,7 @@ def circle_permutation_witness(
     g: Graph,
     rep: IntervalLikeRep,
     word: Sequence[int],
-    minor: MixedMinorWitness | None = None,
+    minor: MixedMinorWitness | Division | None = None,
 ) -> CirclePermWitness:
     """Vertices of an overlap graph inducing the permutation graph of ``word``."""
     w = check_permutation(word)
@@ -180,9 +175,9 @@ def circle_permutation_witness(
         raise DomainError("graph does not match the representation's decoding")
     sub = extract_perm_submatrix(build_ilmatrix(rep), reversal(w), minor)
     vertices = sub.row_keys
-    induced = g.subgraph(vertices)
-    if not is_isomorphic(induced, permutation_graph(w)):
-        raise ExtractionError("induced subgraph is not the requested permutation graph")
+    for i, j in itertools.combinations(range(len(w)), 2):
+        if g.has_edge(vertices[i], vertices[j]) != (w[i] > w[j]):
+            raise ExtractionError("induced subgraph is not the requested permutation graph")
     return CirclePermWitness(vertices, w, sub, True)
 
 
@@ -276,7 +271,7 @@ def interval_exposure_witness(
     g: Graph,
     rep: IntervalLikeRep,
     word: Sequence[int],
-    minor: MixedMinorWitness | None = None,
+    minor: MixedMinorWitness | Division | None = None,
 ) -> ExposureWitness:
     """An induced subgraph of a twin-free interval graph exposing ``word``.
 

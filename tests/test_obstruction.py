@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
 
+from twinwidth import obstruction
 from twinwidth.errors import CapExceeded, DomainError, ExtractionError
 from twinwidth.graphs import Graph, is_isomorphic, permutation_graph
 from twinwidth.ilrep import (
@@ -106,6 +108,34 @@ def test_circle_witness_examples():
 def test_circle_witness_kind_check(demo6_rep):
     with pytest.raises(DomainError):
         circle_permutation_witness(decode(demo6_rep), demo6_rep, (1,))
+
+
+def test_circle_witness_above_the_old_isomorphism_cap():
+    inst = planted_mixed_minor_rep(13, OVERLAP)
+    g = decode(inst.rep)
+    word = tuple(random.Random(13).sample(range(1, 14), 13))
+    w = circle_permutation_witness(g, inst.rep, word, minor=inst.minor)
+    assert w.verified and len(w.vertices) == 13
+    position = {v: str(i) for i, v in enumerate(w.vertices, start=1)}
+    assert g.subgraph(w.vertices).relabel(position) == permutation_graph(word)
+
+
+def test_circle_witness_rejects_rows_out_of_map_order(monkeypatch):
+    # Reversed rows still induce a graph isomorphic to the target, but
+    # vertices[i] no longer plays position i + 1.
+    inst = planted_mixed_minor_rep(3, OVERLAP)
+    g, word = decode(inst.rep), (2, 3, 1)
+    real = obstruction.extract_perm_submatrix
+
+    def reversed_rows(*args, **kwargs):
+        sub = real(*args, **kwargs)
+        return dataclasses.replace(sub, row_keys=sub.row_keys[::-1])
+
+    monkeypatch.setattr(obstruction, "extract_perm_submatrix", reversed_rows)
+    rows = reversed_rows(build_ilmatrix(inst.rep), reversal(word), inst.minor).row_keys
+    assert is_isomorphic(g.subgraph(rows), permutation_graph(word))
+    with pytest.raises(ExtractionError, match="not the requested permutation graph"):
+        circle_permutation_witness(g, inst.rep, word, minor=inst.minor)
 
 
 def test_exposure_witness_p1():
