@@ -1,15 +1,17 @@
 """Exact and heuristic twin-width of graphs at desk scale.
 
-The exact solver is the partition-lattice walk of ``trimatrix._walk`` on a
-single axis, the vertex groups.  Its ``profile`` hook reads the quotient
-trigraph from bitmask neighbourhoods: two groups have a black edge iff all
-cross pairs are edges, no edge iff none are, and a red edge otherwise.  The
-hook also names the first pair of twin groups (same status toward every
-other group); merging them creates no red edge, so it is the only move the
-walk tries from that state.
+The exact solver is the bounded partition-lattice walk of
+``trimatrix._walk`` on a single axis, the vertex groups; it skips the
+states that cannot beat the best width found so far.  Its ``profile`` hook
+reads the quotient trigraph from bitmask neighbourhoods: two groups have a
+black edge iff all cross pairs are edges, no edge iff none are, and a red
+edge otherwise.  The hook also names the first pair of twin groups (same
+status toward every other group); merging them creates no red edge, so it
+is the only move the walk tries from that state.
 
 The greedy solver is a separate incremental bitmask heuristic for graphs far
-beyond the exact cap.
+beyond the exact cap.  Both name a merged vertex ``u + v``, primed while a
+live vertex has that name, so every sequence they emit re-verifies.
 """
 
 from __future__ import annotations
@@ -41,6 +43,21 @@ def _adjacency(g: Graph) -> tuple[list[str], list[int]]:
         adj[slot[u]] |= 1 << slot[v]
         adj[slot[v]] |= 1 << slot[u]
     return order, adj
+
+
+def _contract_name(live: set[str], u: str, v: str) -> str:
+    """Name the vertex merging u and v, and make it live in place of them.
+
+    The name is ``u + v``, primed until no other live vertex has it: a plain
+    concatenation can repeat a live name (``a`` + ``b`` beside a vertex
+    ``ab``), which ``contract`` rejects.
+    """
+    live -= {u, v}
+    merged = u + v
+    while merged in live:
+        merged += "'"
+    live.add(merged)
+    return merged
 
 
 def twinwidth_exact(g: Graph, cap: int = DEFAULT_EXACT_CAP) -> SolveResult:
@@ -78,9 +95,10 @@ def twinwidth_exact(g: Graph, cap: int = DEFAULT_EXACT_CAP) -> SolveResult:
 
     value, path, nodes = _walk((n,), profile)
     names = {1 << i: v for i, v in enumerate(order)}
+    live = set(order)
     steps: list[ContractionStep] = []
     for _, ga, gb in path:
-        merged_name = names[ga] + names[gb]
+        merged_name = _contract_name(live, names[ga], names[gb])
         steps.append(ContractionStep(names[ga], names[gb], merged_name))
         names[ga | gb] = merged_name
     return SolveResult(value, True, tuple(steps), nodes)
@@ -99,6 +117,7 @@ def twinwidth_greedy(g: Graph) -> SolveResult:
     n = len(order)
     red = [0] * n
     names: dict[int, str] = dict(enumerate(order))
+    live = set(order)
     alive = set(range(n))
     steps: list[ContractionStep] = []
     value = 0
@@ -150,7 +169,7 @@ def twinwidth_greedy(g: Graph) -> SolveResult:
         a, b = best_pair
         if names[b] < names[a]:
             a, b = b, a
-        merged_name = names[a] + names[b]
+        merged_name = _contract_name(live, names[a], names[b])
         steps.append(ContractionStep(names[a], names[b], merged_name))
         pair_bits = (1 << a) | (1 << b)
         black_m = black[a] & black[b] & ~pair_bits

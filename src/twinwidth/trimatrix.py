@@ -12,15 +12,19 @@ one memoized walk of the partition lattice, ``_walk``.  Its state holds a
 partition per axis: rows and columns, or a single one for graphs and
 symmetric matrices.  The matrix or trigraph reached by any interleaving of
 contractions is the quotient by that state, so memoizing on it is exact.
-Callers plug in only a ``profile`` hook giving the red number of a state and
-an optional free move.  For matrices the hook reads each quotient cell, a
-common value or RED, from per-row value bitmasks; the greedy bound scores
-its candidate merges with the same hook.
+The walk is bounded: a state is searched only while it can still beat the
+best width found so far among its siblings, which gives the same width and
+the same optimal sequence as visiting the whole lattice.  Callers plug in
+only a ``profile`` hook giving the red number of a state and an optional
+free move.  For matrices the hook reads each quotient cell, a common value
+or RED, from per-row value bitmasks; the greedy bound scores its candidate
+merges with the same hook.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -414,41 +418,52 @@ def _walk(sizes: Sequence[int], profile) -> tuple[int, list[tuple[int, int, int]
     """Exact width from the discrete partition of each axis down to one group each.
 
     Returns the width, the optimal path as (axis, kept group, merged-in group)
-    bitmasks, and the number of states explored.  The state reached by any
-    interleaving of merges is the quotient by the partition, so memoizing on
-    the state is exact.  Among moves of equal width the first one wins.
-    """
-    memo: dict[tuple, tuple[int, tuple | None]] = {}
-    nodes = 0
+    bitmasks, and the number of distinct states profiled.  The state reached
+    by any interleaving of merges is the quotient by the partition, so
+    memoizing on the state is exact.  Among moves of equal width the first
+    one wins.
 
-    # f(state) = best achievable red number from this state on, itself included.
-    def solve(state: tuple) -> tuple[int, tuple | None]:
-        nonlocal nodes
-        got = memo.get(state)
-        if got is not None:
-            return got
-        nodes += 1
-        here, free = profile(state)
-        if all(len(axis) <= 1 for axis in state):
-            memo[state] = (here, None)
-            return (here, None)
-        best, best_move = None, None
+    The walk is a bounded (fail-high) search.  A child is solved under the
+    smaller of its parent's bound and the best width among its earlier
+    siblings.  A state whose own red number reaches its bound stops at once,
+    and a child becomes the best move only if it is strictly below its bound,
+    so the first strict minimum wins exactly as in an unbounded walk.  A
+    state that fails keeps its lower bound in the memo and is searched again
+    only under a higher bound.
+    """
+    # state -> [red number here, free move, width, best move, width is exact]
+    memo: dict[tuple, list] = {}
+
+    # f(state) = best achievable red number from this state on, itself
+    # included.  solve(state, bound) is f(state) if f(state) < bound, and
+    # otherwise a lower bound on f(state) that is at least bound.
+    def solve(state: tuple, bound: float) -> int:
+        entry = memo.get(state)
+        if entry is None:
+            here, free = profile(state)
+            last = all(len(axis) <= 1 for axis in state)
+            entry = memo[state] = [here, free, here, None, last]
+        here, free, width, _, exact = entry
+        if exact or width >= bound:
+            return width
+        least, best_move = math.inf, None
         for move in [free] if free is not None else _moves(state):
-            width = solve(_merge(state, *move))[0]
-            if best is None or width < best:
-                best, best_move = width, move
-        result = (max(here, best), best_move)
-        memo[state] = result
-        return result
+            cap = min(bound, least)
+            got = solve(_merge(state, *move), cap)
+            if got < cap:
+                best_move = move
+            least = min(least, got)
+        entry[2:] = max(here, least), best_move, best_move is not None
+        return entry[2]
 
     state = _discrete(sizes)
-    value = solve(state)[0]
+    value = solve(state, math.inf)
     path = []
-    while (move := memo[state][1]) is not None:
+    while (move := memo[state][3]) is not None:
         x, a, b = move
         path.append((x, state[x][a], state[x][b]))
         state = _merge(state, x, a, b)
-    return value, path, nodes
+    return value, path, len(memo)
 
 
 # ---------------------------------------------------------------------------

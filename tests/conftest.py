@@ -18,7 +18,7 @@ import pytest
 from twinwidth import fologic as fo
 from twinwidth.graphs import Graph, Trigraph, contract
 from twinwidth.ilrep import INTERVAL, OVERLAP, IntervalLikeRep, rep_from_intervals
-from twinwidth.trimatrix import TriMatrix, _zone_mixed
+from twinwidth.trimatrix import TriMatrix, _discrete, _merge, _moves, _zone_mixed
 
 DATA = Path(__file__).parent / "data"
 
@@ -82,6 +82,46 @@ def brute_twinwidth(g: Graph) -> int:
 
     go(Trigraph.from_graph(g), 0)
     return best[0]
+
+
+def reference_walk(sizes, profile):
+    """The unpruned memoized partition-lattice walk, kept as a reference.
+
+    It visits every state reachable from the discrete partition, so the
+    bounded ``trimatrix._walk`` must return its width and path exactly and
+    never profile more states.
+    """
+    memo: dict[tuple, tuple[int, tuple | None]] = {}
+    nodes = 0
+
+    # f(state) = best achievable red number from this state on, itself included.
+    def solve(state: tuple) -> tuple[int, tuple | None]:
+        nonlocal nodes
+        got = memo.get(state)
+        if got is not None:
+            return got
+        nodes += 1
+        here, free = profile(state)
+        if all(len(axis) <= 1 for axis in state):
+            memo[state] = (here, None)
+            return (here, None)
+        best, best_move = None, None
+        for move in [free] if free is not None else _moves(state):
+            width = solve(_merge(state, *move))[0]
+            if best is None or width < best:
+                best, best_move = width, move
+        result = (max(here, best), best_move)
+        memo[state] = result
+        return result
+
+    state = _discrete(sizes)
+    value = solve(state)[0]
+    path = []
+    while (move := memo[state][1]) is not None:
+        x, a, b = move
+        path.append((x, state[x][a], state[x][b]))
+        state = _merge(state, x, a, b)
+    return value, path, nodes
 
 
 def oracle_interval_graph(intervals, kind: str) -> set[frozenset[str]]:

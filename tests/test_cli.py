@@ -233,6 +233,23 @@ def test_tww_matrix_symmetric_and_greedy(capsys, demo5_adj):
     assert abs(payload["value"] - exact_value) <= 1
 
 
+@pytest.mark.parametrize("action", ["exact", "greedy"])
+def test_tww_sequence_verifies_when_merged_name_is_taken(capsys, tmp_path, action):
+    # merging a and b first would name the new vertex ab, which is still live
+    graph = tmp_path / "taken.g"
+    graph.write_text("graph taken 4 2\nv a\nv ab\nv b\nv c\ne a c\ne b c\n")
+    code, out = run_cli(capsys, "tww", action, "--graph", str(graph), "--json")
+    assert code == 0
+    payload = json.loads(out)
+    seq = tmp_path / "taken.seq"
+    seq.write_text("".join(f"c {u} {v} {merged}\n" for u, v, merged in payload["sequence"]))
+    code, out = run_cli(
+        capsys, "tww", "verify", "--graph", str(graph), "--seq", str(seq), "--claim", str(payload["value"])
+    )
+    assert code == 0
+    assert json.loads(out) == {"verified": True}
+
+
 def test_decode_chords_kind_validation(capsys):
     assert run(["decode", "--chords", str(DATA / "demo7.chd"), "--kind", "interval"]) == 1
     capsys.readouterr()

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from twinwidth import solver, trimatrix
 from twinwidth.errors import CapExceeded
 from twinwidth.graphs import ContractionStep, Graph, SequenceError, sequence_width
 from twinwidth.solver import (
@@ -11,14 +12,14 @@ from twinwidth.solver import (
     twinwidth_greedy,
     verify_sequence,
 )
-from twinwidth.trimatrix import TriMatrix, adjacency_matrix, find_mixed_minor, matrix_twinwidth_exact
+from twinwidth.trimatrix import RED, TriMatrix, adjacency_matrix, find_mixed_minor, matrix_twinwidth_exact
 from twinwidth.ilrep import INTERVAL, build_ilmatrix, rep_from_intervals
-from conftest import brute_twinwidth, complete_graph, path_graph
+from conftest import brute_twinwidth, complete_graph, path_graph, reference_walk
 
 
-def random_graph(rng, n):
+def random_graph(rng, n, p=0.5):
     vs = [chr(97 + i) for i in range(n)]
-    edges = [(u, v) for u, v in itertools.combinations(vs, 2) if rng.random() < 0.5]
+    edges = [(u, v) for u, v in itertools.combinations(vs, 2) if rng.random() < p]
     return Graph.build(vs, edges)
 
 
@@ -61,6 +62,60 @@ def test_exact_cograph_zero():
 def test_exact_cap():
     with pytest.raises(CapExceeded):
         twinwidth_exact(complete_graph("abcdefghijkl"), cap=10)
+
+
+def random_matrix(rng, symmetric):
+    """Up to 5x5 over {0, 1}, {0, 1, 2} or either with RED entries."""
+    alphabet = rng.choice(((0, 1), (0, 1, 2), (0, 1, RED), (0, 1, 2, RED)))
+    nr = rng.randint(1, 5)
+    nc = nr if symmetric else rng.randint(1, 5)
+    rows = [[rng.choice(alphabet) for _ in range(nc)] for _ in range(nr)]
+    if symmetric:
+        for i in range(nr):
+            for j in range(i):
+                rows[i][j] = rows[j][i]
+    keys = [f"r{i}" for i in range(nr)]
+    return TriMatrix.build(keys, keys if symmetric else [f"c{j}" for j in range(nc)], rows)
+
+
+def test_bounded_walk_matches_reference(monkeypatch):
+    """The bounded walk returns the unpruned walk's value and path, in fewer states."""
+    rng = random.Random(19)
+    graphs = [random_graph(rng, rng.randint(2, 8), rng.choice((0.2, 0.5, 0.8))) for _ in range(300)]
+    graphs += [random_graph(rng, 9) for _ in range(3)]
+    matrices = [(random_matrix(rng, sym), sym) for sym in (False, True) for _ in range(80)]
+
+    def solve_all():
+        out = [(len(g.vertices), twinwidth_exact(g)) for g in graphs]
+        return out + [(sum(m.shape()), matrix_twinwidth_exact(m, sym)) for m, sym in matrices]
+
+    bounded = solve_all()
+    # solver imports _walk by name, so both modules are patched
+    monkeypatch.setattr(solver, "_walk", reference_walk)
+    monkeypatch.setattr(trimatrix, "_walk", reference_walk)
+    reference = solve_all()
+
+    for (_, got), (_, want) in zip(bounded, reference):
+        assert (got.value, got.sequence) == (want.value, want.sequence)
+        assert got.nodes_explored <= want.nodes_explored
+    big = [(got.nodes_explored, want.nodes_explored) for (n, got), (_, want) in zip(bounded, reference) if n >= 8]
+    assert 10 * sum(got for got, _ in big) <= sum(want for _, want in big)
+
+
+def test_bounded_walk_matches_reference_on_arbitrary_profiles():
+    """Red numbers drawn at random per state make the walk's lower bounds loose."""
+    for seed in range(60):
+        sizes = ((5,), (3, 3), (6,))[seed % 3]
+
+        def profile(state, seed=seed):
+            draw = random.Random(hash((seed, state)))
+            moves = trimatrix._moves(state)
+            free = draw.choice(moves) if moves and draw.random() < 0.2 else None
+            return draw.randint(0, 4), free
+
+        got, want = trimatrix._walk(sizes, profile), reference_walk(sizes, profile)
+        assert got[:2] == want[:2]
+        assert got[2] <= want[2]
 
 
 def test_greedy_examples(demo5_graph):
