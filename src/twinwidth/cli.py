@@ -53,7 +53,8 @@ def _load_rep(args) -> ilrep.IntervalLikeRep:
 
 
 def _graph_json(g: graphs.Graph) -> dict:
-    return {"vertices": sorted(g.vertices), "edges": [list(e) for e in sorted(g.edges)]}
+    order = sorted(g.vertices)
+    return {"vertices": order, "edges": [list(e) for e in graphs.sorted_edges(g, order)]}
 
 
 def _solve_json(res) -> dict:
@@ -90,7 +91,7 @@ def _cmd_ilmatrix(args) -> int:
             {
                 "rows": list(ilm.matrix.row_keys),
                 "cols": list(ilm.matrix.col_keys),
-                "entries": ["".join(str(v) for v in row) for row in ilm.matrix.rows],
+                "entries": ["".join(map(str, row)) for row in ilm.matrix.rows],
             }
         )
     else:

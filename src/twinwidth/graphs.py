@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, DomainError, FormatError
 
@@ -171,12 +171,18 @@ class SequenceError(DomainError):
     """A contraction sequence is malformed (wrong length or missing vertices)."""
 
 
-def apply_sequence(g: Graph, seq: Sequence[ContractionStep]) -> list[Trigraph]:
-    """All trigraphs along a full contraction sequence, the input included."""
+def _check_length(g: Graph, seq: Sequence[ContractionStep]) -> None:
+    if not g.vertices:
+        raise DomainError("empty graph has no contraction sequence")
     if len(seq) != len(g.vertices) - 1:
         raise SequenceError(
             f"sequence has {len(seq)} steps, a full sequence on {len(g.vertices)} vertices needs {len(g.vertices) - 1}"
         )
+
+
+def apply_sequence(g: Graph, seq: Sequence[ContractionStep]) -> list[Trigraph]:
+    """All trigraphs along a full contraction sequence, the input included."""
+    _check_length(g, seq)
     t = Trigraph.from_graph(g)
     out = [t]
     for step in seq:
@@ -187,9 +193,72 @@ def apply_sequence(g: Graph, seq: Sequence[ContractionStep]) -> list[Trigraph]:
     return out
 
 
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _adjacency(g: Graph) -> tuple[list[str], list[int]]:
+    """The sorted vertices and each one's neighbourhood as a bitmask over them."""
+    order = sorted(g.vertices)
+    slot = {v: i for i, v in enumerate(order)}
+    adj = [0] * len(order)
+    for u, v in g.edges:
+        adj[slot[u]] |= 1 << slot[v]
+        adj[slot[v]] |= 1 << slot[u]
+    return order, adj
+
+
+def _contract_masks(black: list[int], red: list[int], a: int, b: int) -> int:
+    """Contract slot b into slot a of bitmask neighbourhoods, in place.
+
+    The rule is ``contract``'s.  Only slots adjacent to a or b change, and
+    the slots whose red degree can change are exactly the red neighbours of
+    the merged vertex, whose mask is returned.
+    """
+    pair = (1 << a) | (1 << b)
+    touched = (black[a] | black[b] | red[a] | red[b]) & ~pair
+    black_m = black[a] & black[b] & ~pair
+    red_m = (red[a] | red[b] | (black[a] ^ black[b])) & ~pair
+    black[a], red[a] = black_m, red_m
+    black[b] = red[b] = 0
+    bit_a = 1 << a
+    for w in _bits(touched):
+        black[w] &= ~pair
+        red[w] &= ~pair
+        if black_m >> w & 1:
+            black[w] |= bit_a
+        elif red_m >> w & 1:
+            red[w] |= bit_a
+    return red_m
+
+
 def sequence_width(g: Graph, seq: Sequence[ContractionStep]) -> int:
-    """Maximum red degree over all trigraphs of a full contraction sequence."""
-    return max(t.max_red_degree() for t in apply_sequence(g, seq))
+    """Maximum red degree over all trigraphs of a full contraction sequence.
+
+    A replay on bitmask neighbourhoods, with the checks and errors of
+    ``apply_sequence`` in the same order; it builds no trigraph.
+    """
+    _check_length(g, seq)
+    order, black = _adjacency(g)
+    red = [0] * len(order)
+    slot = {v: i for i, v in enumerate(order)}
+    width = 0
+    for step in seq:
+        u, v, merged = step.u, step.v, step.merged
+        if u not in slot or v not in slot:
+            raise SequenceError(f"step {step} references a vertex missing at that point")
+        if u == v:
+            raise DomainError("cannot contract a vertex with itself")
+        if merged in slot and merged != u and merged != v:
+            raise DomainError(f"merged vertex id {merged!r} already present")
+        a, b = slot.pop(u), slot.pop(v)
+        slot[merged] = a
+        red_m = _contract_masks(black, red, a, b)
+        width = max(width, red_m.bit_count(), *(red[w].bit_count() for w in _bits(red_m)))
+    return width
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +386,30 @@ def is_isomorphic(g: Graph, h: Graph, cap: int = DEFAULT_ISO_CAP) -> bool:
 # text formats
 
 
+def sorted_edges(g: Graph, order: list[str]) -> Iterator[tuple[str, str]]:
+    """The edges of g in ``sorted(g.edges)`` order, given ``order == sorted(g.vertices)``.
+
+    Edges are normalised (u < v), so bucketing each edge under the rank of
+    u and sorting the integer ranks of the v's in each bucket gives the same
+    order as comparing the name tuples, with no string comparison.  Edges
+    are yielded one bucket at a time, so no sorted copy of the edge set is
+    held.
+    """
+    rank = {v: i for i, v in enumerate(order)}
+    later: list[list[int]] = [[] for _ in order]
+    for u, v in g.edges:
+        later[rank[u]].append(rank[v])
+    for u, ranks in zip(order, later):
+        ranks.sort()
+        yield from zip(itertools.repeat(u), map(order.__getitem__, ranks))
+
+
 def graph_to_text(g: Graph, name: str = "g") -> str:
     """Serialize: header ``graph <name> <n> <m>``, then sorted ``v``/``e`` lines."""
+    order = sorted(g.vertices)
     lines = [f"graph {name} {len(g.vertices)} {len(g.edges)}"]
-    lines.extend(f"v {v}" for v in sorted(g.vertices))
-    lines.extend(f"e {u} {v}" for u, v in sorted(g.edges))
+    lines.extend(f"v {v}" for v in order)
+    lines.extend(f"e {u} {v}" for u, v in sorted_edges(g, order))
     return "\n".join(lines) + "\n"
 
 

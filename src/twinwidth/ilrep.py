@@ -18,6 +18,7 @@ Dummy rows encode the end order, which is what makes the matrix decodable.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -153,25 +154,33 @@ def rep_from_chords(diagram: ChordDiagram) -> IntervalLikeRep:
 # decoding
 
 
-def _interval_core(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    return a[0] <= b[0] <= a[1]
+def _sweep_graph(spans: list[tuple[int, int]], names: list[str], kind: str) -> Graph:
+    """The graph on named rank spans, listed in increasing (first, second) order.
 
-
-def _overlap_core(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    return a[0] <= b[0] <= a[1] <= b[1]
+    Span i meets exactly the spans i+1 .. k-1 after it, where k is the first
+    span whose first end lies past i's second end.  Overlap keeps those that
+    end no earlier than i; the others lie strictly inside i.  So the cost is
+    O(n log n + |E|), E the interval kind's edges, not a pairwise scan.
+    """
+    lefts = [l for l, _ in spans]
+    rights = [r for _, r in spans]
+    edges: list[tuple[str, str]] = []
+    for i, (u, r) in enumerate(zip(names, rights)):
+        hi = bisect_right(lefts, r)
+        later = names[i + 1:hi]
+        if kind == OVERLAP:
+            later = [w for w, rw in zip(later, rights[i + 1:hi]) if r <= rw]
+        # built normalised (smaller name first), so Graph.build need not redo it
+        edges += [(u, w) if u < w else (w, u) for w in later]
+    return Graph(frozenset(names), frozenset(edges))
 
 
 def decode(rep: IntervalLikeRep) -> Graph:
     """The graph on the end pairs, under the representation's kind."""
-    core = _interval_core if rep.kind == INTERVAL else _overlap_core
     r = rep.rank
     plist = rep.sorted_pairs()
-    ranked = {p: (r[p[0]], r[p[1]]) for p in plist}
-    edges = []
-    for a, b in itertools.combinations(plist, 2):
-        if core(ranked[a], ranked[b]) or core(ranked[b], ranked[a]):
-            edges.append((pair_name(a), pair_name(b)))
-    return Graph.build((pair_name(p) for p in plist), edges)
+    spans = [(r[s1], r[s2]) for s1, s2 in plist]
+    return _sweep_graph(spans, [pair_name(p) for p in plist], rep.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -187,27 +196,26 @@ class IlMatrix:
 
 def build_ilmatrix(rep: IntervalLikeRep) -> IlMatrix:
     r = rep.rank
-    all_rows = sorted(
-        set(rep.pairs) | {(t, t) for t in rep.ends},
-        key=lambda p: (r[p[0]], r[p[1]]),
+    nc = len(rep.ends)
+    by_span = {(r[s1], r[s2]): (s1, s2) for s1, s2 in rep.pairs}
+    pair_spans = set(by_span)
+    for i, t in enumerate(rep.ends):
+        by_span.setdefault((i, i), (t, t))
+    spans = sorted(by_span)
+    # each row is built from whole slabs: a 2 prefix, then 0s, with a 1 in
+    # the second end's column on pair rows
+    rows = tuple(
+        (2,) * a + (0,) * (b - a) + (1,) + (0,) * (nc - b - 1)
+        if (a, b) in pair_spans
+        else (2,) * a + (0,) * (nc - a)
+        for a, b in spans
     )
-    rows = []
-    for s1, s2 in all_rows:
-        in_pairs = (s1, s2) in rep.pairs
-        row = []
-        for j, col in enumerate(rep.ends):
-            if j < r[s1]:
-                row.append(2)
-            elif in_pairs and col == s2:
-                row.append(1)
-            else:
-                row.append(0)
-        rows.append(tuple(row))
+    all_rows = [by_span[span] for span in spans]
     keys = tuple(pair_name(p) for p in all_rows)
     return IlMatrix(
-        TriMatrix(keys, rep.ends, tuple(rows)),
+        TriMatrix(keys, rep.ends, rows),
         rep,
-        {pair_name(p): p for p in all_rows},
+        dict(zip(keys, all_rows)),
     )
 
 
@@ -217,19 +225,15 @@ def _implied_pairs(m: TriMatrix) -> dict[str, tuple[int, int | None]]:
     for key, row in zip(m.row_keys, m.rows):
         if RED in row:
             raise DomainError("representation matrices contain no red entries")
-        prefix = 0
-        while prefix < len(row) and row[prefix] == 2:
-            prefix += 1
+        # the 2 prefix ends at the first 0 or 1, the only other entries
+        prefix = min((row.index(v) for v in (0, 1) if v in row), default=len(row))
         if 2 in row[prefix:]:
             raise DomainError(f"row {key!r}: entries 2 must form a prefix")
-        ones = [j for j, v in enumerate(row) if v == 1]
-        if len(ones) > 1:
+        if row.count(1) > 1:
             raise DomainError(f"row {key!r}: more than one entry 1")
-        if ones and ones[0] < prefix:
-            raise DomainError(f"row {key!r}: entry 1 inside the 2 prefix")
-        if prefix == len(row) and not ones:
+        if prefix == len(row):
             raise DomainError(f"row {key!r}: all entries 2")
-        out[key] = (prefix, ones[0] if ones else None)
+        out[key] = (prefix, row.index(1) if 1 in row else None)
     return out
 
 
@@ -258,13 +262,9 @@ def decode_from_matrix(m: IlMatrix | TriMatrix, kind: str) -> Graph:
         raise DomainError(f"kind must be one of {KINDS}, got {kind!r}")
     matrix = m.matrix if isinstance(m, IlMatrix) else m
     implied = validate_ilmatrix(matrix)
-    vertices = {key: (s1, s2) for key, (s1, s2) in implied.items() if s2 is not None}
-    core = _interval_core if kind == INTERVAL else _overlap_core
-    edges = []
-    for a, b in itertools.combinations(sorted(vertices), 2):
-        if core(vertices[a], vertices[b]) or core(vertices[b], vertices[a]):
-            edges.append((a, b))
-    return Graph.build(vertices, edges)
+    # validation leaves the rows strictly sorted by their spans
+    named = [(span, key) for key, span in implied.items() if span[1] is not None]
+    return _sweep_graph([span for span, _ in named], [key for _, key in named], kind)
 
 
 # ---------------------------------------------------------------------------

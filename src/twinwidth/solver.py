@@ -10,8 +10,10 @@ status toward every other group); merging them creates no red edge, so it
 is the only move the walk tries from that state.
 
 The greedy solver is a separate incremental bitmask heuristic for graphs far
-beyond the exact cap.  Both name a merged vertex ``u + v``, primed while a
-live vertex has that name, so every sequence they emit re-verifies.
+beyond the exact cap; it merges with ``graphs._contract_masks``, the rule
+that ``graphs.sequence_width`` replays when a sequence is verified.  Both
+solvers name a merged vertex ``u + v``, primed while a live vertex has that
+name, so every sequence they emit re-verifies.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import CapExceeded, DomainError
-from .graphs import ContractionStep, Graph, sequence_width
-from .trimatrix import DEFAULT_ORDERING_CAP, TriMatrix, _bits, _walk, find_mixed_minor
+from .graphs import ContractionStep, Graph, _adjacency, _bits, _contract_masks, sequence_width
+from .trimatrix import DEFAULT_ORDERING_CAP, TriMatrix, _walk, find_mixed_minor
 
 DEFAULT_EXACT_CAP = 10
 
@@ -32,17 +34,6 @@ class SolveResult:
     optimal: bool
     sequence: tuple[ContractionStep, ...]
     nodes_explored: int
-
-
-def _adjacency(g: Graph) -> tuple[list[str], list[int]]:
-    """The sorted vertices and each one's neighbourhood as a bitmask over them."""
-    order = sorted(g.vertices)
-    slot = {v: i for i, v in enumerate(order)}
-    adj = [0] * len(order)
-    for u, v in g.edges:
-        adj[slot[u]] |= 1 << slot[v]
-        adj[slot[v]] |= 1 << slot[u]
-    return order, adj
 
 
 def _contract_name(live: set[str], u: str, v: str) -> str:
@@ -171,26 +162,9 @@ def twinwidth_greedy(g: Graph) -> SolveResult:
             a, b = b, a
         merged_name = _contract_name(live, names[a], names[b])
         steps.append(ContractionStep(names[a], names[b], merged_name))
-        pair_bits = (1 << a) | (1 << b)
-        black_m = black[a] & black[b] & ~pair_bits
-        red_m = (red[a] | red[b] | (black[a] ^ black[b])) & ~pair_bits
-        black[a], red[a] = black_m, red_m
+        _contract_masks(black, red, a, b)
         names[a] = merged_name
         alive.discard(b)
-        bit_a, bit_b = 1 << a, 1 << b
-        for w in alive:
-            if w == a:
-                continue
-            if black_m & (1 << w):
-                black[w] |= bit_a
-            else:
-                black[w] &= ~bit_a
-            if red_m & (1 << w):
-                red[w] |= bit_a
-            else:
-                red[w] &= ~bit_a
-            black[w] &= ~bit_b
-            red[w] &= ~bit_b
         value = max(value, best[0])
     return SolveResult(value, False, tuple(steps), nodes)
 
@@ -198,7 +172,8 @@ def twinwidth_greedy(g: Graph) -> SolveResult:
 def verify_sequence(g: Graph, seq: tuple[ContractionStep, ...], claimed: int) -> bool:
     """True iff seq is a full contraction sequence of g with width == claimed.
 
-    Malformed sequences raise SequenceError; a width mismatch returns False.
+    Malformed sequences raise SequenceError, and an empty graph DomainError;
+    a width mismatch returns False.
     """
     return sequence_width(g, seq) == claimed
 

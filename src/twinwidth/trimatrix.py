@@ -30,7 +30,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import DomainError, FormatError
-from .graphs import Graph
+from .graphs import Graph, _bits
 
 RED = 3
 
@@ -55,7 +55,7 @@ class TriMatrix:
         for row in self.rows:
             if len(row) != len(self.col_keys):
                 raise DomainError("row length does not match column keys")
-            if any(v not in _SYMBOLS for v in row):
+            if not set(row) <= _SYMBOLS.keys():
                 raise DomainError("matrix entries must be 0, 1, 2 or RED")
 
     @staticmethod
@@ -100,7 +100,7 @@ def matrix_to_text(m: TriMatrix) -> str:
         " ".join(m.row_keys),
         " ".join(m.col_keys),
     ]
-    lines.extend("".join(_SYMBOLS[v] for v in row) for row in m.rows)
+    lines.extend("".join(map(_SYMBOLS.__getitem__, row)) for row in m.rows)
     return "\n".join(lines) + "\n"
 
 
@@ -387,13 +387,6 @@ def permutation_matrix(word: Sequence[int]) -> TriMatrix:
 # Callers plug in ``profile(state) -> (red number here, free move or None)``.
 # A free move merges two groups whose quotient lines are identical; it creates
 # no red entry, so it is the only move tried from that state.
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _low(mask: int) -> int:

@@ -17,7 +17,7 @@ import pytest
 
 from twinwidth import fologic as fo
 from twinwidth.graphs import Graph, Trigraph, contract
-from twinwidth.ilrep import INTERVAL, OVERLAP, IntervalLikeRep, rep_from_intervals
+from twinwidth.ilrep import INTERVAL, OVERLAP, IntervalLikeRep, pair_name, rep_from_intervals
 from twinwidth.trimatrix import TriMatrix, _discrete, _merge, _moves, _zone_mixed
 
 DATA = Path(__file__).parent / "data"
@@ -140,6 +140,33 @@ def oracle_interval_graph(intervals, kind: str) -> set[frozenset[str]]:
         if adjacent:
             edges.add(frozenset((a, b)))
     return edges
+
+
+def reference_ilmatrix_rows(rep: IntervalLikeRep) -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]:
+    """Row keys and rows of the representation matrix, built cell by cell.
+
+    This is the former ``build_ilmatrix`` loop, kept as a reference for the
+    slab-built rows: 2 left of the first end, 1 in the second end's column
+    on pair rows, 0 elsewhere.
+    """
+    r = rep.rank
+    all_rows = sorted(
+        set(rep.pairs) | {(t, t) for t in rep.ends},
+        key=lambda p: (r[p[0]], r[p[1]]),
+    )
+    rows = []
+    for s1, s2 in all_rows:
+        in_pairs = (s1, s2) in rep.pairs
+        row = []
+        for j, col in enumerate(rep.ends):
+            if j < r[s1]:
+                row.append(2)
+            elif in_pairs and col == s2:
+                row.append(1)
+            else:
+                row.append(0)
+        rows.append(tuple(row))
+    return tuple(pair_name(p) for p in all_rows), tuple(rows)
 
 
 def oracle_chord_crossings(sequence) -> set[frozenset[str]]:

@@ -250,6 +250,15 @@ def test_tww_sequence_verifies_when_merged_name_is_taken(capsys, tmp_path, actio
     assert json.loads(out) == {"verified": True}
 
 
+def test_tww_verify_empty_graph(capsys, tmp_path):
+    graph = tmp_path / "empty.g"
+    graph.write_text("graph g 0 0\n")
+    seq = tmp_path / "empty.seq"
+    seq.write_text("")
+    assert run(["tww", "verify", "--graph", str(graph), "--seq", str(seq), "--claim", "0"]) == 1
+    assert capsys.readouterr().err == "error: empty graph has no contraction sequence\n"
+
+
 def test_decode_chords_kind_validation(capsys):
     assert run(["decode", "--chords", str(DATA / "demo7.chd"), "--kind", "interval"]) == 1
     capsys.readouterr()

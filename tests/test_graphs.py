@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +8,9 @@ from twinwidth.errors import CapExceeded, DomainError
 from twinwidth.graphs import (
     ContractionStep,
     Graph,
+    SequenceError,
     Trigraph,
+    apply_sequence,
     contract,
     find_twins,
     graph_from_text,
@@ -21,6 +24,7 @@ from twinwidth.graphs import (
     sequence_width,
     twin_free_core,
 )
+from twinwidth.solver import twinwidth_exact, twinwidth_greedy
 from conftest import DEMO5_EDGES, brute_twinwidth, complete_graph, path_graph
 
 
@@ -92,6 +96,73 @@ def test_sequence_errors(demo5_graph):
     )
     with pytest.raises(SequenceError):
         sequence_width(demo5_graph, bad)
+
+
+def reference_width(g, seq):
+    return max(t.max_red_degree() for t in apply_sequence(g, seq))
+
+
+def random_sequence(rng, g):
+    """A full contraction sequence merging random live pairs."""
+    live, steps = sorted(g.vertices), []
+    while len(live) > 1:
+        u, v = rng.sample(live, 2)
+        steps.append(ContractionStep(u, v, f"m{len(steps)}"))
+        live = [w for w in live if w not in (u, v)] + [steps[-1].merged]
+    return tuple(steps)
+
+
+def replay_corpus(seed=31, count=210):
+    """Seeded graphs with n <= 60, each with its exact (n <= 8) or greedy
+    sequence and a random one; in a random sequence the largest red degree
+    often sits on a neighbour of the merged vertex, not on the merged vertex."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n = rng.randint(1, 8) if k % 3 == 0 else rng.randint(1, 60)
+        vs = [f"v{i}" for i in range(n)]
+        p = rng.choice((0.1, 0.3, 0.5, 0.8))
+        g = Graph.build(vs, [e for e in itertools.combinations(vs, 2) if rng.random() < p])
+        yield g, (twinwidth_exact(g) if n <= 8 else twinwidth_greedy(g)).sequence
+        yield g, random_sequence(rng, g)
+
+
+def test_sequence_width_replay_matches_trigraph_reference():
+    cases = 0
+    for g, seq in replay_corpus():
+        assert sequence_width(g, seq) == reference_width(g, seq)
+        cases += 1
+    assert cases == 2 * 210
+
+
+def test_sequence_width_replay_raises_like_reference(demo5_graph):
+    c = ContractionStep
+    cases = [
+        # wrong length
+        (c("a", "b", "ab"),),
+        # a vertex missing at that point
+        (c("a", "b", "ab"), c("a", "c", "ac"), c("ac", "d", "x"), c("x", "e", "y")),
+        # u == v
+        (c("a", "b", "ab"), c("c", "c", "cc"), c("cc", "d", "x"), c("x", "e", "y")),
+        # merged id taken by another live vertex
+        (c("a", "b", "ab"), c("c", "d", "e"), c("e", "ab", "x"), c("x", "e", "y")),
+    ]
+    for seq in cases:
+        with pytest.raises(DomainError) as want:
+            reference_width(demo5_graph, seq)
+        with pytest.raises(DomainError) as got:
+            sequence_width(demo5_graph, seq)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+    # a merged id equal to u is no error under either
+    keep_u = (c("a", "b", "a"), c("d", "e", "e"), c("c", "e", "c"), c("a", "c", "a"))
+    assert sequence_width(demo5_graph, keep_u) == reference_width(demo5_graph, keep_u) == 2
+
+
+def test_sequence_width_empty_graph():
+    empty = Graph.build([], [])
+    for fn in (sequence_width, apply_sequence):
+        with pytest.raises(DomainError, match="^empty graph has no contraction sequence$") as exc:
+            fn(empty, ())
+        assert not isinstance(exc.value, SequenceError)
 
 
 def test_permutation_graph_examples():

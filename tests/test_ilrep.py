@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from twinwidth.errors import DomainError
 from twinwidth.graphs import Graph, is_isomorphic
 from twinwidth.ilrep import (
     INTERVAL,
+    KINDS,
     OVERLAP,
     ChordDiagram,
     IntervalLikeRep,
@@ -27,8 +29,8 @@ from twinwidth.ilrep import (
     unify,
     validate_ilmatrix,
 )
-from twinwidth.trimatrix import TriMatrix, matrix_to_text
-from conftest import DEMO6_INTERVALS, oracle_chord_crossings, oracle_interval_graph
+from twinwidth.trimatrix import RED, TriMatrix, matrix_to_text
+from conftest import DEMO6_INTERVALS, oracle_chord_crossings, oracle_interval_graph, reference_ilmatrix_rows
 
 
 def random_intervals(rng, n, span=8):
@@ -174,6 +176,96 @@ def test_decode_from_matrix_rejects_malformed():
     bad2 = TriMatrix.build(["r1", "r2"], ["c1", "c2"], [[0, 2], [0, 0]])
     with pytest.raises(DomainError):
         decode_from_matrix(bad2, INTERVAL)
+
+
+def test_decode_from_matrix_rejection_messages():
+    cases = [
+        ([[0, RED], [2, 0]], "representation matrices contain no red entries"),
+        ([[0, 0], [0, 2]], "row 'r2': entries 2 must form a prefix"),
+        ([[1, 1], [2, 0]], "row 'r1': more than one entry 1"),
+        ([[0, 0], [2, 2]], "row 'r2': all entries 2"),
+    ]
+    for rows, message in cases:
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            decode_from_matrix(TriMatrix.build(["r1", "r2"], ["c1", "c2"], rows), INTERVAL)
+
+
+def sweep_corpus(seed=20, count=320, most=60):
+    """Seeded interval models, all with integer ends on a short span.
+
+    The short span forces shared ends, point intervals (t, t), equal left
+    ends and nested intervals; each model also gets one point interval on
+    the end of another interval, so its pair row coincides with a dummy row.
+    """
+    rng = random.Random(seed)
+    models = []
+    for _ in range(count):
+        n = rng.randint(1, most - 1)
+        # at least n distinct (l, r) with 0 <= l <= r <= span
+        span = rng.randint(math.isqrt(2 * n) + 1, n + 2)
+        out, seen = [], set()
+        while len(out) < n:
+            l = rng.randint(0, span)
+            r = l if rng.random() < 0.2 else rng.randint(l, span)
+            if (l, r) not in seen:
+                seen.add((l, r))
+                out.append((f"i{len(out)}", l, r))
+        l, r = out[0][1:]
+        if (r, r) not in seen:
+            out.append((f"i{len(out)}", r, r))
+        models.append(out)
+    return models
+
+
+def test_sweep_corpus_has_every_shape():
+    shapes = {"shared end": 0, "point": 0, "equal left": 0, "nested": 0}
+    for model in sweep_corpus():
+        spans = [(l, r) for _, l, r in model]
+        ends = [e for span in spans for e in span]
+        shapes["shared end"] += len(set(ends)) < len(ends)
+        shapes["point"] += any(l == r for l, r in spans)
+        shapes["equal left"] += len({l for l, _ in spans}) < len(spans)
+        shapes["nested"] += any(a < c and d < b for a, b in spans for c, d in spans)
+    assert min(shapes.values()) >= 100, shapes
+
+
+def test_sweep_decode_matches_oracle():
+    for model in sweep_corpus():
+        names = interval_vertex_map(model)
+        for kind in KINDS:
+            expected = oracle_interval_graph(model, kind)
+            rep = rep_from_intervals(model, kind)
+            for g in (decode(rep), decode_from_matrix(build_ilmatrix(rep), kind)):
+                assert g.vertices == set(names.values())
+                assert {frozenset((u, v)) for u, v in g.edges} == {
+                    frozenset(names[x] for x in e) for e in expected
+                }
+
+
+def test_sweep_decode_matches_chord_oracle():
+    rng = random.Random(21)
+    for _ in range(100):
+        diagram = random_diagram(rng, rng.randint(1, 30))
+        rep = rep_from_chords(diagram)
+        expected = {
+            frozenset(f"({x}1,{x}2)" for x in e) for e in oracle_chord_crossings(diagram.sequence)
+        }
+        for g in (decode(rep), decode_from_matrix(build_ilmatrix(rep), OVERLAP)):
+            assert {frozenset(e) for e in g.edges} == expected
+
+
+def test_slab_rows_match_cell_by_cell_reference():
+    corpus = sweep_corpus()
+    coinciding = 0
+    for model in corpus:
+        rep = rep_from_intervals(model, INTERVAL)
+        m = build_ilmatrix(rep).matrix
+        assert (m.row_keys, m.rows) == reference_ilmatrix_rows(rep)
+        coinciding += any(a == b for a, b in rep.pairs)
+    assert coinciding == len(corpus)
+    # the point pair (a, a) is its own dummy row: a 1 where the dummy has a 0
+    k1 = rep_from_intervals([("v", 0, 0), ("w", 0, 1)], INTERVAL)
+    assert build_ilmatrix(k1).matrix.rows == ((1, 0), (0, 1), (2, 0)) == reference_ilmatrix_rows(k1)[1]
 
 
 def test_unify_examples(demo6_rep):
