@@ -16,8 +16,10 @@ from pathlib import Path
 import pytest
 
 from twinwidth import fologic as fo
-from twinwidth.graphs import Graph, Trigraph, contract
-from twinwidth.ilrep import INTERVAL, OVERLAP, IntervalLikeRep, pair_name, rep_from_intervals
+from twinwidth.errors import DomainError
+from twinwidth.graphs import ContractionStep, Graph, Trigraph, _adjacency, _bits, _contract_masks, contract
+from twinwidth.ilrep import INTERVAL, OVERLAP, IntervalLikeRep, decode, pair_name, rep_from_intervals, unify
+from twinwidth.solver import SolveResult, _contract_name
 from twinwidth.trimatrix import TriMatrix, _discrete, _merge, _moves, _zone_mixed
 
 DATA = Path(__file__).parent / "data"
@@ -122,6 +124,105 @@ def reference_walk(sizes, profile):
         path.append((x, state[x][a], state[x][b]))
         state = _merge(state, x, a, b)
     return value, path, nodes
+
+
+def reference_greedy(g: Graph) -> SolveResult:
+    """The former incremental ``twinwidth_greedy``, kept as a reference.
+
+    It scores a candidate from per-level red-degree counts; the plain scan
+    of ``twinwidth_greedy`` must give the same value, sequence and
+    ``nodes_explored``.
+    """
+    if not g.vertices:
+        raise DomainError("empty graph has no contraction sequence")
+    order, black = _adjacency(g)
+    n = len(order)
+    red = [0] * n
+    names: dict[int, str] = dict(enumerate(order))
+    live = set(order)
+    alive = set(range(n))
+    steps: list[ContractionStep] = []
+    value = 0
+    nodes = 0
+
+    while len(alive) > 1:
+        degs = {i: red[i].bit_count() for i in alive}
+        best: tuple[int, tuple[str, str]] | None = None
+        best_pair: tuple[int, int] | None = None
+        by_level: dict[int, int] = {}
+        for d in degs.values():
+            by_level[d] = by_level.get(d, 0) + 1
+
+        for a, b in itertools.combinations(sorted(alive), 2):
+            nodes += 1
+            pair_bits = (1 << a) | (1 << b)
+            red_m = (red[a] | red[b] | (black[a] ^ black[b])) & ~pair_bits
+            resulting = red_m.bit_count()
+            if best is not None and resulting > best[0]:
+                continue
+            key = tuple(sorted((names[a], names[b])))
+            plus = red_m & ~(red[a] | red[b])
+            minus = red[a] & red[b] & ~pair_bits
+            abort = False
+            for w in _bits(plus):
+                resulting = max(resulting, degs[w] + 1)
+                if best is not None and resulting > best[0]:
+                    abort = True
+                    break
+            if abort:
+                continue
+            touched = set(_bits(plus)) | set(_bits(minus)) | {a, b}
+            level_delta: dict[int, int] = {}
+            for w in touched:
+                level_delta[degs[w]] = level_delta.get(degs[w], 0) + 1
+            for level in sorted(by_level, reverse=True):
+                if level <= resulting:
+                    break
+                if by_level[level] - level_delta.get(level, 0) > 0:
+                    resulting = max(resulting, level)
+                    break
+            for w in _bits(minus):
+                resulting = max(resulting, degs[w] - 1)
+            if best is not None and (resulting, key) >= best:
+                continue
+            best = (resulting, key)
+            best_pair = (a, b)
+
+        a, b = best_pair
+        if names[b] < names[a]:
+            a, b = b, a
+        merged_name = _contract_name(live, names[a], names[b])
+        steps.append(ContractionStep(names[a], names[b], merged_name))
+        _contract_masks(black, red, a, b)
+        names[a] = merged_name
+        alive.discard(b)
+        value = max(value, best[0])
+    return SolveResult(value, False, tuple(steps), nodes)
+
+
+def _reference_preserves_graph(rep: IntervalLikeRep, merged: IntervalLikeRep, s1: str, s2: str) -> bool:
+    rho = lambda e: s1 if e == s2 else e
+    translate = {
+        pair_name(p): pair_name((rho(p[0]), rho(p[1]))) for p in rep.pairs
+    }
+    before = {tuple(sorted((translate[u], translate[v]))) for u, v in decode(rep).edges}
+    return before == set(decode(merged).edges)
+
+
+def reference_condense(rep: IntervalLikeRep) -> IntervalLikeRep:
+    """The former ``condense``, kept as a reference: each candidate merge is
+    built and both graphs are decoded in full and compared edge for edge."""
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(rep.ends) - 1):
+            s1, s2 = rep.ends[i], rep.ends[i + 1]
+            merged, legal = unify(rep, s1, s2)
+            if legal and _reference_preserves_graph(rep, merged, s1, s2):
+                rep = merged
+                changed = True
+                break
+    return rep
 
 
 def oracle_interval_graph(intervals, kind: str) -> set[frozenset[str]]:

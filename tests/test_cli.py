@@ -1,6 +1,8 @@
 """CLI surface: golden files (one per command), exit codes, JSON schemas."""
 
+import itertools
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -213,6 +215,21 @@ def test_golden_tww_exact(capsys, demo5_adj):
         assert code == 0
         outs.append(out)
     check_golden("tww-exact.txt", "".join(outs))
+
+
+def test_golden_tww_greedy(capsys, tmp_path):
+    rng = random.Random(60)
+    vs = [f"v{i:02d}" for i in range(60)]
+    gnp = graphs.Graph.build(vs, [e for e in itertools.combinations(vs, 2) if rng.random() < 0.1])
+    (tmp_path / "gnp60.g").write_text(graphs.graph_to_text(gnp, "gnp60"))
+    # merging a and b names the new vertex ab, which is still live
+    (tmp_path / "taken.g").write_text("graph taken 4 2\nv a\nv ab\nv b\nv c\ne a c\ne b c\n")
+    outs = []
+    for path in (DATA / "demo5.g", tmp_path / "gnp60.g", tmp_path / "taken.g"):
+        code, out = run_cli(capsys, "tww", "greedy", "--graph", str(path), "--json")
+        assert code == 0
+        outs.append(out)
+    check_golden("tww-greedy.txt", "".join(outs))
 
 
 def test_tww_matrix_symmetric_and_greedy(capsys, demo5_adj):

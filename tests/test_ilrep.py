@@ -30,7 +30,13 @@ from twinwidth.ilrep import (
     validate_ilmatrix,
 )
 from twinwidth.trimatrix import RED, TriMatrix, matrix_to_text
-from conftest import DEMO6_INTERVALS, oracle_chord_crossings, oracle_interval_graph, reference_ilmatrix_rows
+from conftest import (
+    DEMO6_INTERVALS,
+    oracle_chord_crossings,
+    oracle_interval_graph,
+    reference_condense,
+    reference_ilmatrix_rows,
+)
 
 
 def random_intervals(rng, n, span=8):
@@ -323,6 +329,23 @@ def test_condense_output_admits_no_legal_preserving_unification():
             merged, legal = unify(out, out.ends[i], out.ends[i + 1])
             if legal:
                 assert not is_isomorphic(decode(out), decode(merged))
+
+
+def test_condense_matches_reference():
+    """Seeded interval, overlap and chord representations, the interval ones
+    mostly with shared ends, condense exactly as the whole-graph comparison does."""
+    rng = random.Random(23)
+    merges = 0
+    for k in range(240):
+        n = rng.randint(1, 16)
+        if k % 3 == 2:
+            rep = rep_from_chords(random_diagram(rng, n))
+        else:
+            rep = rep_from_intervals(random_intervals(rng, n, span=rng.choice((n // 2 + 4, n, 2 * n))), (INTERVAL, OVERLAP)[k % 3])
+        out = condense(rep)
+        assert out == reference_condense(rep)
+        merges += len(rep.ends) - len(out.ends)
+    assert merges > 500
 
 
 def test_condense_has_no_vertex_cap():

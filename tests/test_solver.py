@@ -14,7 +14,7 @@ from twinwidth.solver import (
 )
 from twinwidth.trimatrix import RED, TriMatrix, adjacency_matrix, find_mixed_minor, matrix_twinwidth_exact
 from twinwidth.ilrep import INTERVAL, build_ilmatrix, rep_from_intervals
-from conftest import brute_twinwidth, complete_graph, path_graph, reference_walk
+from conftest import brute_twinwidth, complete_graph, path_graph, reference_greedy, reference_walk
 
 
 def random_graph(rng, n, p=0.5):
@@ -134,6 +134,34 @@ def test_greedy_value_matches_own_sequence():
         res = twinwidth_greedy(g)
         assert sequence_width(g, res.sequence) == res.value
         assert twinwidth_exact(g).value <= res.value
+
+
+def greedy_corpus(seed=47, count=180):
+    """Seeded graphs with n <= 45 and p from 0.05 to 0.95.  A third are named
+    by distinct words over {a, b}, so merged names such as ``a`` + ``b``
+    collide with live vertices and get primed."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n = rng.randint(1, 45)
+        if k % 3 == 0:
+            words = set()
+            while len(words) < n:
+                words.add("".join(rng.choice("ab") for _ in range(rng.randint(1, 6))))
+            vs = sorted(words)
+            rng.shuffle(vs)
+        else:
+            vs = [f"v{i}" for i in range(n)]
+        p = rng.choice((0.05, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95))
+        yield Graph.build(vs, [e for e in itertools.combinations(vs, 2) if rng.random() < p])
+
+
+def test_greedy_matches_reference():
+    primed = 0
+    for g in greedy_corpus():
+        got, want = twinwidth_greedy(g), reference_greedy(g)
+        assert (got.value, got.sequence, got.nodes_explored) == (want.value, want.sequence, want.nodes_explored)
+        primed += any(s.merged.endswith("'") for s in got.sequence)
+    assert primed > 10
 
 
 def test_greedy_large_interval_graph_terminates():
