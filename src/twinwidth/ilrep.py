@@ -289,22 +289,18 @@ def unify(rep: IntervalLikeRep, s1: str, s2: str) -> tuple[IntervalLikeRep, bool
     return IntervalLikeRep(ends, new_pairs, rep.kind), legal
 
 
-def _preserves_graph(rep: IntervalLikeRep, merged: IntervalLikeRep, s1: str, s2: str) -> bool:
-    rho = lambda e: s1 if e == s2 else e
-    translate = {
-        pair_name(p): pair_name((rho(p[0]), rho(p[1]))) for p in rep.pairs
-    }
-    before = {tuple(sorted((translate[u], translate[v]))) for u, v in decode(rep).edges}
-    return before == set(decode(merged).edges)
-
-
 def condense(rep: IntervalLikeRep) -> IntervalLikeRep:
     """Apply legal, graph-preserving unifications until none applies.
 
-    Graph-preserving means the natural pair map keeps the edge set, and that
-    is exact: ``unify`` maps end ranks monotonically and both adjacency
-    predicates are conjunctions of <= on ranks, so a legal unification only
-    adds edges.  No isomorphism search is needed, so there is no vertex cap.
+    Graph-preserving means the natural pair map keeps the edge set.
+    ``unify`` maps end ranks monotonically and both adjacency predicates are
+    built from <= on the ranks of two pairs' ends, so a legal unification of
+    s1 < s2 only adds edges, and only between a pair with an end at s1 and
+    one with an end at s2, which now share an end and so are adjacent.  The
+    graph is kept iff every such cross pair was adjacent already.  Legality
+    likewise involves only the pairs at s1 or s2.  So each pass decodes once
+    and checks each candidate on the pairs at its two ends; no isomorphism
+    search is needed, and there is no vertex cap.
 
     The scan runs left to right and restarts after every success, so the
     result is deterministic; condensed forms are generally not unique.
@@ -312,11 +308,20 @@ def condense(rep: IntervalLikeRep) -> IntervalLikeRep:
     changed = True
     while changed:
         changed = False
+        g = decode(rep)
+        at: list[list[tuple[str, str]]] = [[] for _ in rep.ends]  # the pairs with an end at each rank
+        for s, t in rep.pairs:
+            at[rep.rank[s]].append((s, t))
+            if t != s:
+                at[rep.rank[t]].append((s, t))
         for i in range(len(rep.ends) - 1):
             s1, s2 = rep.ends[i], rep.ends[i + 1]
-            merged, legal = unify(rep, s1, s2)
-            if legal and _preserves_graph(rep, merged, s1, s2):
-                rep = merged
+            # unify's legality test, on the only pairs that can collide
+            near = set(at[i] + at[i + 1])
+            if len({(s1 if a == s2 else a, s1 if b == s2 else b) for a, b in near}) < len(near):
+                continue
+            if all(p == q or g.has_edge(pair_name(p), pair_name(q)) for p in at[i] for q in at[i + 1]):
+                rep = unify(rep, s1, s2)[0]
                 changed = True
                 break
     return rep

@@ -283,6 +283,8 @@ def _sweep(case, sizes, gadget, check, exponent, draw, key, mode, samples, seed,
     elif mode == "sampled":
         if seed is None:
             raise DomainError("sampled mode needs a seed")
+        if samples < 0:
+            raise DomainError("samples must be nonnegative")
         scripts = map(draw, range(samples))
     else:
         raise DomainError(f"unknown mode {mode!r}")

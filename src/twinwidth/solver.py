@@ -9,9 +9,9 @@ edge otherwise.  The hook also names the first pair of twin groups (same
 status toward every other group); merging them creates no red edge, so it
 is the only move the walk tries from that state.
 
-The greedy solver is a separate incremental bitmask heuristic for graphs far
-beyond the exact cap; it merges with ``graphs._contract_masks``, the rule
-that ``graphs.sequence_width`` replays when a sequence is verified.  Both
+The greedy solver is a bitmask heuristic for graphs far beyond the exact
+cap; it merges with ``graphs._contract_masks``, the rule that
+``graphs.sequence_width`` replays when a sequence is verified.  Both
 solvers name a merged vertex ``u + v``, primed while a live vertex has that
 name, so every sequence they emit re-verifies.
 """
@@ -98,74 +98,53 @@ def twinwidth_exact(g: Graph, cap: int = DEFAULT_EXACT_CAP) -> SolveResult:
 def twinwidth_greedy(g: Graph) -> SolveResult:
     """Upper bound: contract the pair minimizing the next maximum red degree.
 
-    Ties break lexicographically on the (sorted) pair of group names.  Group
-    adjacencies are bitmasks so candidate evaluation is incremental; a
-    candidate is abandoned as soon as it provably exceeds the current best.
+    Ties break lexicographically on the (sorted) pair of group names.  A
+    pair whose merged vertex alone has more red edges than the best width so
+    far is skipped; that check settles almost every candidate.  A pair that
+    passes is scored by one scan of the live vertices, sorted by falling red
+    degree, which stops once a degree + 1 cannot raise the width.
     """
     if not g.vertices:
         raise DomainError("empty graph has no contraction sequence")
     order, black = _adjacency(g)
-    n = len(order)
-    red = [0] * n
-    names: dict[int, str] = dict(enumerate(order))
+    red = [0] * len(order)
+    names: dict[int, str] = dict(enumerate(order))  # the live vertices
     live = set(order)
-    alive = set(range(n))
     steps: list[ContractionStep] = []
     value = 0
     nodes = 0
 
-    while len(alive) > 1:
-        degs = {i: red[i].bit_count() for i in alive}
-        best: tuple[int, tuple[str, str]] | None = None
-        best_pair: tuple[int, int] | None = None
-        by_level: dict[int, int] = {}
-        for d in degs.values():
-            by_level[d] = by_level.get(d, 0) + 1
-
-        for a, b in itertools.combinations(sorted(alive), 2):
+    while len(names) > 1:
+        ranked = sorted(((red[w].bit_count(), w) for w in names), reverse=True)
+        best: tuple[int, str, str, int, int] | None = None
+        for a, b in itertools.combinations(sorted(names), 2):
             nodes += 1
             pair_bits = (1 << a) | (1 << b)
             red_m = (red[a] | red[b] | (black[a] ^ black[b])) & ~pair_bits
-            resulting = red_m.bit_count()
-            if best is not None and resulting > best[0]:
+            width = red_m.bit_count()
+            if best is not None and width > best[0]:
                 continue
-            key = tuple(sorted((names[a], names[b])))
+            # a vertex gains a red edge to the merged vertex, or loses one of two
             plus = red_m & ~(red[a] | red[b])
-            minus = red[a] & red[b] & ~pair_bits
-            abort = False
-            for w in _bits(plus):
-                resulting = max(resulting, degs[w] + 1)
-                if best is not None and resulting > best[0]:
-                    abort = True
+            minus = red[a] & red[b]
+            for d, w in ranked:
+                if d + 1 <= width:
                     break
-            if abort:
-                continue
-            touched = set(_bits(plus)) | set(_bits(minus)) | {a, b}
-            level_delta: dict[int, int] = {}
-            for w in touched:
-                level_delta[degs[w]] = level_delta.get(degs[w], 0) + 1
-            for level in sorted(by_level, reverse=True):
-                if level <= resulting:
-                    break
-                if by_level[level] - level_delta.get(level, 0) > 0:
-                    resulting = max(resulting, level)
-                    break
-            for w in _bits(minus):
-                resulting = max(resulting, degs[w] - 1)
-            if best is not None and (resulting, key) >= best:
-                continue
-            best = (resulting, key)
-            best_pair = (a, b)
+                if not pair_bits >> w & 1:
+                    width = max(width, d + (plus >> w & 1) - (minus >> w & 1))
+            if names[b] < names[a]:
+                a, b = b, a
+            candidate = (width, names[a], names[b], a, b)
+            if best is None or candidate < best:
+                best = candidate
 
-        a, b = best_pair
-        if names[b] < names[a]:
-            a, b = b, a
-        merged_name = _contract_name(live, names[a], names[b])
-        steps.append(ContractionStep(names[a], names[b], merged_name))
+        width, u, v, a, b = best
+        merged_name = _contract_name(live, u, v)
+        steps.append(ContractionStep(u, v, merged_name))
         _contract_masks(black, red, a, b)
         names[a] = merged_name
-        alive.discard(b)
-        value = max(value, best[0])
+        del names[b]
+        value = max(value, width)
     return SolveResult(value, False, tuple(steps), nodes)
 
 
@@ -206,20 +185,13 @@ def _similarity_order(lines: list[tuple[int, ...]]) -> list[int]:
     return order
 
 
-def ordering_without_mixed_minor(
-    m: TriMatrix,
-    k: int,
-    mode: str = "auto",
-    cap: int = DEFAULT_ORDERING_CAP,
-) -> OrderingSearchResult:
+def ordering_without_mixed_minor(m: TriMatrix, k: int, cap: int = DEFAULT_ORDERING_CAP) -> OrderingSearchResult:
     """Look for a row/column ordering of m without a k-mixed minor.
 
     The native ordering is tried first, then lexicographic and
-    similarity-based sortings; exhaustive enumeration (over matrices up to
-    ``cap`` per axis) settles the question when allowed by ``mode``.
+    similarity-based sortings, then every ordering; a ``None`` ordering is
+    therefore a proof.  Enumeration past ``cap`` per axis raises CapExceeded.
     """
-    if mode not in ("auto", "exhaustive", "heuristic"):
-        raise DomainError(f"unknown mode {mode!r}")
     nr, nc = m.shape()
 
     def check(row_order, col_order):
@@ -237,13 +209,8 @@ def ordering_without_mixed_minor(
             ordered = m.permuted(ro, co)
             return OrderingSearchResult((ordered.row_keys, ordered.col_keys), False)
 
-    if mode == "heuristic":
-        return OrderingSearchResult(None, False)
     if nr > cap or nc > cap:
-        if mode == "exhaustive":
-            raise CapExceeded(f"ordering search cap {cap} exceeded ({nr}x{nc})")
-        return OrderingSearchResult(None, False)
-
+        raise CapExceeded(f"ordering search cap {cap} exceeded ({nr}x{nc})")
     for ro in itertools.permutations(range(nr)):
         for co in itertools.permutations(range(nc)):
             if check(ro, co):

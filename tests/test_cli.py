@@ -149,16 +149,18 @@ def test_fo_check_direct_agrees(capsys):
 
 
 def test_condense_and_fo_check_past_twelve_vertices(capsys):
-    # 13 intervals, and some legal unification of them changes the graph
-    model = str(DATA / "abovecap13.ivl")
-    code, out = run_cli(capsys, "condense", "--intervals", model, "--json")
-    assert code == 0
-    assert len(json.loads(out)["intervals"]) == 13
-    fo = ["fo-check", "--intervals", model, "--formula", str(DATA / "dominating.fo")]
-    code, pipeline = run_cli(capsys, *fo)
-    assert code == 0
-    _, direct = run_cli(capsys, *fo, "--direct")
-    assert json.loads(pipeline) == json.loads(direct)
+    # abovecap13: 13 intervals, and some legal unification of them changes the graph;
+    # interval160: bench/workloads.interval_model(160, Random(3), 320)
+    for name, size in (("abovecap13.ivl", 13), ("interval160.ivl", 160)):
+        model = str(DATA / name)
+        code, out = run_cli(capsys, "condense", "--intervals", model, "--json")
+        assert code == 0
+        assert len(json.loads(out)["intervals"]) == size
+        fo = ["fo-check", "--intervals", model, "--formula", str(DATA / "dominating.fo")]
+        code, pipeline = run_cli(capsys, *fo)
+        assert code == 0
+        _, direct = run_cli(capsys, *fo, "--direct")
+        assert json.loads(pipeline) == json.loads(direct)
 
 
 def test_fo_check_nesting_limit(capsys, tmp_path):
@@ -337,6 +339,18 @@ def test_exit_codes(capsys, tmp_path):
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["circle", "interval"])
+def test_robustness_sample_count(capsys, case):
+    sampled = ["robustness", "--case", case, "--pi", "1", "-r", "1", "--mode", "sampled", "--seed", "1"]
+    assert run([*sampled, "--samples", "-3"]) == 1
+    got = capsys.readouterr()
+    assert (got.out, got.err) == ("", "error: samples must be nonnegative\n")
+    # zero samples is a valid, empty sweep
+    code, out = run_cli(capsys, *sampled, "--samples", "0")
+    assert code == 0
+    assert json.loads(out)["scripts_tested"] == 0
 
 
 @pytest.mark.parametrize("drop", ["--seq", "--claim", "--graph"])

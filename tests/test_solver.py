@@ -237,6 +237,15 @@ def test_ordering_search_examples():
     assert find_mixed_minor(m, 3) is None
 
 
+def test_ordering_search_none_is_a_proof():
+    # every ordering of a 2x2 permutation matrix is one mixed zone
+    m = TriMatrix.build(["r0", "r1"], ["c0", "c1"], [[0, 1], [1, 0]])
+    assert ordering_without_mixed_minor(m, 1) == solver.OrderingSearchResult(None, True)
+    # the heuristic orders fail, and enumeration past the cap is refused
+    with pytest.raises(CapExceeded, match=r"ordering search cap 1 exceeded \(2x2\)"):
+        ordering_without_mixed_minor(m, 1, cap=1)
+
+
 def test_ordering_search_exhaustive_verdict():
     rng = random.Random(18)
     m = TriMatrix.build(
@@ -244,7 +253,7 @@ def test_ordering_search_exhaustive_verdict():
         [f"c{j}" for j in range(5)],
         [[rng.choice((0, 1)) for _ in range(5)] for _ in range(5)],
     )
-    res = ordering_without_mixed_minor(m, 2, mode="exhaustive")
+    res = ordering_without_mixed_minor(m, 2)
     if res.ordering is None:
         assert res.exhaustive
     else:
