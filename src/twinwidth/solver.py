@@ -11,14 +11,19 @@ is the only move the walk tries from that state.
 
 The greedy solver is a bitmask heuristic for graphs far beyond the exact
 cap; it merges with ``graphs._contract_masks``, the rule that
-``graphs.sequence_width`` replays when a sequence is verified.  Both
-solvers name a merged vertex ``u + v``, primed while a live vertex has that
-name, so every sequence they emit re-verifies.
+``graphs.sequence_width`` replays when a sequence is verified.  That rule
+changes only the masks of the merged vertex and of its neighbours, and a
+pair's merged red count depends on its two ends' masks alone, so the greedy
+keeps every pair's count between steps: a pair with neither end among those
+vertices keeps it, and only the pairs with an end among them are adjusted
+or recounted.  Both solvers name a merged vertex ``u + v``, primed while a
+live vertex has that name, so every sequence they emit re-verifies.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import CapExceeded, DomainError
@@ -95,14 +100,30 @@ def twinwidth_exact(g: Graph, cap: int = DEFAULT_EXACT_CAP) -> SolveResult:
     return SolveResult(value, True, tuple(steps), nodes)
 
 
+def _pair_counts(closed: list[int], black: list[int], p: int) -> list[int]:
+    """Merged red count + 2 of live position p with each later live position.
+
+    ``closed[x]`` is x's red mask with x's own bit set, so the union below
+    holds both ends of the pair and exactly their merged red neighbours.
+    """
+    c, b = closed[p], black[p]
+    return [(c | c2 | (b ^ b2)).bit_count() for c2, b2 in zip(closed[p + 1 :], black[p + 1 :])]
+
+
 def twinwidth_greedy(g: Graph) -> SolveResult:
     """Upper bound: contract the pair minimizing the next maximum red degree.
 
-    Ties break lexicographically on the (sorted) pair of group names.  A
-    pair whose merged vertex alone has more red edges than the best width so
-    far is skipped; that check settles almost every candidate.  A pair that
-    passes is scored by one scan of the live vertices, sorted by falling red
-    degree, which stops once a degree + 1 cannot raise the width.
+    Ties break lexicographically on the (sorted) pair of group names.  Each
+    live vertex keeps its pairs' merged red counts with every later live
+    vertex, and a lower bound on their minimum.  Merging b into a changes
+    only the masks of a and of its neighbours T, so a pair with no end in
+    T + {a} keeps its count, and a pair with one end x in T changes by
+    1 - [x~a] - [x~b]: by -1 if x was a common neighbour of a and b, else
+    not at all.  Only the rows of a and T are recomputed.  Rows are scanned
+    by rising bound, and a pair whose count exceeds the best width so far is
+    skipped.  A pair that passes is scored by one scan of the live vertices,
+    sorted by falling red degree, which stops once a degree + 1 cannot raise
+    the width.  ``nodes_explored`` still counts every live pair of every step.
     """
     if not g.vertices:
         raise DomainError("empty graph has no contraction sequence")
@@ -110,41 +131,82 @@ def twinwidth_greedy(g: Graph) -> SolveResult:
     red = [0] * len(order)
     names: dict[int, str] = dict(enumerate(order))  # the live vertices
     live = set(order)
+    # per live position, in slot order: slot, closed red mask, black mask,
+    # counts + 2 with every later position, and a lower bound on their minimum
+    slots = list(range(len(order)))
+    closed = [1 << x for x in slots]
+    blk = list(black)
+    rows = [_pair_counts(closed, blk, p) for p in slots]
+    low = [min(row, default=0) for row in rows]
     steps: list[ContractionStep] = []
     value = 0
     nodes = 0
 
     while len(names) > 1:
+        k = len(slots)
+        nodes += k * (k - 1) // 2
         ranked = sorted(((red[w].bit_count(), w) for w in names), reverse=True)
         best: tuple[int, str, str, int, int] | None = None
-        for a, b in itertools.combinations(sorted(names), 2):
-            nodes += 1
-            pair_bits = (1 << a) | (1 << b)
-            red_m = (red[a] | red[b] | (black[a] ^ black[b])) & ~pair_bits
-            width = red_m.bit_count()
-            if best is not None and width > best[0]:
-                continue
-            # a vertex gains a red edge to the merged vertex, or loses one of two
-            plus = red_m & ~(red[a] | red[b])
-            minus = red[a] & red[b]
-            for d, w in ranked:
-                if d + 1 <= width:
-                    break
-                if not pair_bits >> w & 1:
-                    width = max(width, d + (plus >> w & 1) - (minus >> w & 1))
-            if names[b] < names[a]:
-                a, b = b, a
-            candidate = (width, names[a], names[b], a, b)
-            if best is None or candidate < best:
-                best = candidate
+        limit = k  # best width + 2; no count exceeds k - 2
+        for p in sorted(range(k - 1), key=low.__getitem__):
+            if low[p] > limit:
+                break
+            row = rows[p]
+            low[p] = min(row)
+            for j in itertools.compress(range(len(row)), map(limit.__ge__, row)):
+                if row[j] > limit:  # the limit fell after compress read it
+                    continue
+                a, b = slots[p], slots[p + 1 + j]
+                width = row[j] - 2
+                pair_bits = (1 << a) | (1 << b)
+                red_m = (red[a] | red[b] | (black[a] ^ black[b])) & ~pair_bits
+                # a vertex gains a red edge to the merged vertex, or loses one of two
+                plus = red_m & ~(red[a] | red[b])
+                minus = red[a] & red[b]
+                for d, w in ranked:
+                    if d + 1 <= width:
+                        break
+                    if not pair_bits >> w & 1:
+                        width = max(width, d + (plus >> w & 1) - (minus >> w & 1))
+                if names[b] < names[a]:
+                    a, b = b, a
+                candidate = (width, names[a], names[b], a, b)
+                if best is None or candidate < best:
+                    best, limit = candidate, width + 2
 
         width, u, v, a, b = best
         merged_name = _contract_name(live, u, v)
         steps.append(ContractionStep(u, v, merged_name))
+        common = (black[a] | red[a]) & (black[b] | red[b])
         _contract_masks(black, red, a, b)
         names[a] = merged_name
         del names[b]
         value = max(value, width)
+
+        pb = bisect_left(slots, b)
+        del slots[pb], closed[pb], blk[pb], rows[pb], low[pb]
+        for p in range(pb):
+            del rows[p][pb - p - 1]
+        changed = black[a] | red[a] | 1 << a
+        for w in _bits(changed):
+            q = bisect_left(slots, w)
+            closed[q], blk[q] = red[w] | 1 << w, black[w]
+        pa = bisect_left(slots, a)
+        common_pos = [bisect_left(slots, w) for w in _bits(common)]
+        for p, x in enumerate(slots):
+            if changed >> x & 1:
+                rows[p] = _pair_counts(closed, blk, p)
+                low[p] = min(rows[p], default=0)
+                continue
+            row = rows[p]
+            if p < pa:
+                row[pa - p - 1] = (closed[p] | closed[pa] | (blk[p] ^ blk[pa])).bit_count()
+                low[p] = min(low[p], row[pa - p - 1])
+            later = common_pos[bisect_right(common_pos, p) :]
+            for q in later:
+                row[q - p - 1] -= 1
+            if later:
+                low[p] -= 1
     return SolveResult(value, False, tuple(steps), nodes)
 
 

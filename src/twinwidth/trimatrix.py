@@ -36,6 +36,8 @@ RED = 3
 
 _SYMBOLS = {0: "0", 1: "1", 2: "2", RED: "r"}
 _VALUES = {s: v for v, s in _SYMBOLS.items()}
+# byte i -> its symbol; a row's entries are in 0..3 (checked on construction)
+_TO_TEXT = bytes.maketrans(bytes(_SYMBOLS), "".join(_SYMBOLS.values()).encode())
 
 DEFAULT_MATRIX_BUDGET = 10  # rows + cols for the exact solver
 DEFAULT_ORDERING_CAP = 6  # per-axis size for exhaustive row/col ordering search
@@ -100,7 +102,7 @@ def matrix_to_text(m: TriMatrix) -> str:
         " ".join(m.row_keys),
         " ".join(m.col_keys),
     ]
-    lines.extend("".join(map(_SYMBOLS.__getitem__, row)) for row in m.rows)
+    lines.extend(bytes(row).translate(_TO_TEXT).decode() for row in m.rows)
     return "\n".join(lines) + "\n"
 
 

@@ -136,32 +136,61 @@ def test_greedy_value_matches_own_sequence():
         assert twinwidth_exact(g).value <= res.value
 
 
-def greedy_corpus(seed=47, count=180):
-    """Seeded graphs with n <= 45 and p from 0.05 to 0.95.  A third are named
-    by distinct words over {a, b}, so merged names such as ``a`` + ``b``
-    collide with live vertices and get primed."""
+def greedy_corpus(seed=47, count=180, sizes=(1, 45), densities=(0.05, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95)):
+    """Seeded graphs with n in ``sizes`` and p from ``densities``.  A third
+    are named by distinct words over {a, b}, so merged names such as ``a`` +
+    ``b`` collide with live vertices and get primed."""
     rng = random.Random(seed)
     for k in range(count):
-        n = rng.randint(1, 45)
+        n = rng.randint(*sizes)
         if k % 3 == 0:
             words = set()
             while len(words) < n:
-                words.add("".join(rng.choice("ab") for _ in range(rng.randint(1, 6))))
+                words.add("".join(rng.choice("ab") for _ in range(rng.randint(1, max(6, n.bit_length())))))
             vs = sorted(words)
             rng.shuffle(vs)
         else:
             vs = [f"v{i}" for i in range(n)]
-        p = rng.choice((0.05, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95))
+        p = rng.choice(densities)
         yield Graph.build(vs, [e for e in itertools.combinations(vs, 2) if rng.random() < p])
 
 
 def test_greedy_matches_reference():
+    """The small corpus, then larger sparse graphs and two dense ones, whose
+    kept pair counts go through many deletions and common-neighbour
+    decrements."""
+    corpora = itertools.chain(
+        greedy_corpus(),
+        greedy_corpus(seed=48, count=12, sizes=(60, 120), densities=(0.03, 0.05, 0.08, 0.1, 0.15)),
+        greedy_corpus(seed=49, count=2, sizes=(60, 100), densities=(0.9,)),
+    )
     primed = 0
-    for g in greedy_corpus():
+    for g in corpora:
+        n = len(g.vertices)
         got, want = twinwidth_greedy(g), reference_greedy(g)
         assert (got.value, got.sequence, got.nodes_explored) == (want.value, want.sequence, want.nodes_explored)
+        assert got.nodes_explored == (n + 1) * n * (n - 1) // 6
         primed += any(s.merged.endswith("'") for s in got.sequence)
     assert primed > 10
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [],
+        list(itertools.combinations(range(30), 2)),
+        [(i, (i + 1) % 30) for i in range(30)],
+        [(i, j) for i in range(15) for j in range(15, 30)],
+        [(i, i + 15) for i in range(15)],
+    ],
+    ids=["edgeless", "complete", "cycle", "k15-15", "matching"],
+)
+def test_greedy_ties_break_on_names(edges):
+    """Many pairs tie on width: the pair taken is still the first by names."""
+    vs = [f"v{i:02d}" for i in range(30)]
+    g = Graph.build(vs, [(vs[i], vs[j]) for i, j in edges])
+    got, want = twinwidth_greedy(g), reference_greedy(g)
+    assert (got.value, got.sequence, got.nodes_explored) == (want.value, want.sequence, want.nodes_explored)
 
 
 def test_greedy_large_interval_graph_terminates():
