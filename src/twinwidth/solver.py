@@ -183,6 +183,8 @@ def twinwidth_greedy(g: Graph) -> SolveResult:
         del names[b]
         value = max(value, width)
 
+        # b leaves every list; a and its neighbours are recounted; every other
+        # row gets a fresh count with a and -1 at later common neighbours
         pb = bisect_left(slots, b)
         del slots[pb], closed[pb], blk[pb], rows[pb], low[pb]
         for p in range(pb):
