@@ -3,8 +3,6 @@
 from .graphs import (
     ContractionStep,
     Graph,
-    Trigraph,
-    contract,
     find_twins,
     graph_from_text,
     graph_to_text,
@@ -12,7 +10,6 @@ from .graphs import (
     is_isomorphic,
     permutation_graph,
     sequence_width,
-    twin_free_core,
 )
 from .ilrep import (
     ChordDiagram,
@@ -33,13 +30,10 @@ from .trimatrix import (
     MixedMinorWitness,
     TriMatrix,
     adjacency_matrix,
-    contract_cols,
-    contract_rows,
     find_mixed_minor,
     matrix_twinwidth_exact,
     permutation_matrix,
     red_number,
-    replay_symmetric,
 )
 from .solver import (
     SolveResult,

@@ -23,7 +23,7 @@ from .errors import DomainError
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read {path}: {exc}") from exc
 
 
@@ -142,13 +142,15 @@ def _cmd_tww(args) -> int:
         verified = solver.verify_sequence(g, seq, args.claim)
         _emit_json({"verified": verified})
         return 0
+    # without --cap each solver keeps its own default
+    cap = {} if args.cap is None else {"cap": args.cap}
     if args.action == "exact" and args.matrix:
         m = trimatrix.matrix_from_text(_read(args.matrix))
-        res = trimatrix.matrix_twinwidth_exact(m, symmetric=args.symmetric, cap=args.cap)
+        res = trimatrix.matrix_twinwidth_exact(m, symmetric=args.symmetric, **cap)
     elif args.action == "exact":
         if not args.graph:
             raise DomainError("tww exact needs --graph or --matrix")
-        res = solver.twinwidth_exact(graphs.graph_from_text(_read(args.graph)), cap=args.cap)
+        res = solver.twinwidth_exact(graphs.graph_from_text(_read(args.graph)), **cap)
     else:
         if not args.graph:
             raise DomainError("tww greedy needs --graph")
@@ -317,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symmetric", action="store_true", help="matrix mode: contract rows and columns together")
     p.add_argument("--seq", help="verify: contraction sequence file")
     p.add_argument("--claim", type=int, help="verify: claimed width")
-    p.add_argument("--cap", type=int, default=solver.DEFAULT_EXACT_CAP)
+    p.add_argument("--cap", type=int, help="exact: size cap (default: the solver's own)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_tww, usage_error=p.error)
 

@@ -32,7 +32,10 @@ from .ilrep import IlMatrix, IntervalLikeRep, INTERVAL, OVERLAP, build_ilmatrix,
 from .trimatrix import TriMatrix
 
 DEFAULT_EVAL_BUDGET = 10_000_000
-# Parser, rewriter and evaluator all recurse once per nesting level.
+# Parsing, rewriting, compiling and evaluating recurse on nesting.  On the
+# pipeline a quantifier takes two levels of the rewritten formula and three
+# frames to compile or evaluate, so a formula at the limit needs about 800
+# frames, under Python's default recursion limit of 1000.
 MAX_FORMULA_DEPTH = 256
 
 
@@ -43,6 +46,15 @@ MAX_FORMULA_DEPTH = 256
 class Formula:
     @cached_property
     def free_vars(self) -> frozenset[str]:
+        # Settle the uncached nodes below deepest first, from an explicit stack:
+        # each is then computed from cached children, so depth costs no recursion.
+        stack = [c for c in _children(self) if "free_vars" not in vars(c)]
+        while stack:
+            pending = [c for c in _children(stack[-1]) if "free_vars" not in vars(c)]
+            if pending:
+                stack.extend(pending)
+            else:
+                stack.pop().free_vars
         inner = frozenset().union(*map(attrgetter("free_vars"), _children(self)))
         return inner - {self.var} if isinstance(self, (Exists, Forall)) else inner
 
@@ -264,19 +276,6 @@ def matrix_structure(m: TriMatrix | IlMatrix) -> Structure:
     return Structure(dom, {"A1": frozenset(a1), "A2": frozenset(a2)}, {})
 
 
-def structure_to_graph(st: Structure, relation: str = "edge") -> Graph:
-    rel = st.relations.get(relation, frozenset())
-    edges = []
-    for a, b in rel:
-        if a == b:
-            raise DomainError("edge relation is not irreflexive")
-        if (b, a) not in rel:
-            raise DomainError("edge relation is not symmetric")
-        if a < b:
-            edges.append((a, b))
-    return Graph.build(st.domain, edges)
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -327,9 +326,17 @@ def _compile(st: Structure, roots: Sequence[tuple[Sequence[str], Formula]], budg
             else:
                 raise DomainError(f"relation {f.rel!r} has unsupported arity {len(f.args)}")
 
-    def quantifier(body, s: int, exists: bool):
+    # A quantifier keeps its own memo instead of sitting under ``memoized``, so
+    # a chain of them costs one frame per level, not two.
+    def quantifier(body, s: int, exists: bool, table: dict | None, key_of):
         def run():
             nonlocal budget
+            if table is not None:
+                key = key_of(env)
+                hit = table.get(key)
+                if hit is not None:
+                    return hit
+            value = not exists
             for el in span:
                 budget -= 1
                 if budget < 0:
@@ -337,10 +344,14 @@ def _compile(st: Structure, roots: Sequence[tuple[Sequence[str], Formula]], budg
                 env[s] = el
                 if body():
                     if exists:
-                        return True
+                        value = True
+                        break
                 elif not exists:
-                    return False
-            return not exists
+                    value = False
+                    break
+            if table is not None:
+                table[key] = value
+            return value
 
         return run
 
@@ -368,27 +379,27 @@ def _compile(st: Structure, roots: Sequence[tuple[Sequence[str], Formula]], budg
             b = scope[f.args[1]]
             return lambda: m[env[a]] >> env[b] & 1
         unique = unique and seen[id(f)] == 1
+        table = key_of = None
+        if not (unique and len(set(path)) == len(path) == len(f.free_vars)):
+            table = tables.setdefault(id(f), {})
+            slots = [scope[v] for v in f._free_sorted]
+            key_of = itemgetter(*slots) if slots else lambda env: ()
         if isinstance(f, (Exists, Forall)):
             s = len(path)
             if s == len(env):
                 env.append(0)
             body = build(f.body, {**scope, f.var: s}, path + (f.var,), unique)
-            raw = quantifier(body, s, isinstance(f, Exists))
+            return quantifier(body, s, isinstance(f, Exists), table, key_of)
+        parts = [build(p, scope, path, unique) for p in _children(f)]
+        if isinstance(f, Not):
+            (body,) = parts
+            raw = lambda: not body()
+        elif isinstance(f, Implies):
+            left, right = parts
+            raw = lambda: not left() or right()
         else:
-            parts = [build(p, scope, path, unique) for p in _children(f)]
-            if isinstance(f, Not):
-                (body,) = parts
-                raw = lambda: not body()
-            elif isinstance(f, Implies):
-                left, right = parts
-                raw = lambda: not left() or right()
-            else:
-                raw = _junction(parts, isinstance(f, And))
-        if unique and len(set(path)) == len(path) == len(f.free_vars):
-            return raw
-        slots = [scope[v] for v in f._free_sorted]
-        key_of = itemgetter(*slots) if slots else lambda env: ()
-        return memoized(raw, tables.setdefault(id(f), {}), key_of)
+            raw = _junction(parts, isinstance(f, And))
+        return raw if table is None else memoized(raw, table, key_of)
 
     def root(params: Sequence[str], f: Formula):
         path = tuple(params)

@@ -1,13 +1,16 @@
-"""Graphs, trigraphs, contraction sequences, permutations, and small-scale isomorphism.
+"""Graphs, contraction sequences, permutations, twins, and small-scale isomorphism.
 
-Vertices are opaque strings.  A trigraph carries a second, disjoint set of
-"red" edges recording where merged vertices disagreed; contracting two
-vertices u, v yields a vertex (named by concatenation, for traceability)
-whose red neighbourhood is
+Vertices are opaque strings.  Along a contraction sequence the graph becomes
+a trigraph: a second, disjoint set of "red" edges records where merged
+vertices disagreed.  Contracting u and v yields one vertex whose red
+neighbourhood is
 
-    ((N_red(u) | N_red(v)) - {u, v}) | (N(u) ^ N(v))
+    ((N_red(u) | N_red(v)) | (N(u) ^ N(v))) - {u, v}
 
-where N is the full (black + red) neighbourhood.  Red loops are dropped.
+where N is the full (black + red) neighbourhood; its black neighbours are the
+rest of N(u) | N(v).  ``_contract_masks`` is that rule on bitmask
+neighbourhoods, and the only one in the package: the greedy solver merges
+with it and ``sequence_width`` replays sequences with it.
 
 One-line permutations are plain tuples over 1..p, e.g. ``(3, 1, 4, 2)``.
 """
@@ -83,81 +86,6 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class Trigraph:
-    """A graph whose edges are split into black (certain) and red (error) edges."""
-
-    vertices: frozenset[str]
-    black_edges: frozenset[tuple[str, str]]
-    red_edges: frozenset[tuple[str, str]]
-
-    def __post_init__(self) -> None:
-        if self.black_edges & self.red_edges:
-            raise DomainError("black and red edge sets overlap")
-        for u, v in self.black_edges | self.red_edges:
-            if u == v:
-                raise DomainError(f"loop at vertex {u!r}")
-            if u not in self.vertices or v not in self.vertices:
-                raise DomainError(f"edge {(u, v)!r} has endpoint outside the vertex set")
-
-    @staticmethod
-    def from_graph(g: Graph) -> "Trigraph":
-        return Trigraph(g.vertices, g.edges, frozenset())
-
-    @cached_property
-    def _nbrs(self) -> tuple[dict[str, frozenset[str]], dict[str, frozenset[str]]]:
-        black: dict[str, set[str]] = {v: set() for v in self.vertices}
-        red: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for u, v in self.black_edges:
-            black[u].add(v)
-            black[v].add(u)
-        for u, v in self.red_edges:
-            red[u].add(v)
-            red[v].add(u)
-        return (
-            {v: frozenset(s) for v, s in black.items()},
-            {v: frozenset(s) for v, s in red.items()},
-        )
-
-    def black_neighbors(self, v: str) -> frozenset[str]:
-        return self._nbrs[0][v]
-
-    def red_neighbors(self, v: str) -> frozenset[str]:
-        return self._nbrs[1][v]
-
-    def neighbors(self, v: str) -> frozenset[str]:
-        return self._nbrs[0][v] | self._nbrs[1][v]
-
-    def red_degree(self, v: str) -> int:
-        return len(self._nbrs[1][v])
-
-    def max_red_degree(self) -> int:
-        return max((self.red_degree(v) for v in self.vertices), default=0)
-
-
-def contract(t: Trigraph, u: str, v: str, new_id: str | None = None) -> Trigraph:
-    """Merge u and v into a single vertex (default name: ``u + v``)."""
-    if u == v:
-        raise DomainError("cannot contract a vertex with itself")
-    if u not in t.vertices or v not in t.vertices:
-        raise DomainError(f"unknown vertex in contraction: {u!r}, {v!r}")
-    merged = new_id if new_id is not None else u + v
-    if merged in t.vertices - {u, v}:
-        raise DomainError(f"merged vertex id {merged!r} already present")
-
-    pair = {u, v}
-    full = (t.neighbors(u) | t.neighbors(v)) - pair
-    red = ((t.red_neighbors(u) | t.red_neighbors(v)) - pair) | ((t.neighbors(u) ^ t.neighbors(v)) - pair)
-    black = full - red
-
-    vertices = (t.vertices - pair) | {merged}
-    black_edges = {e for e in t.black_edges if not pair & set(e)}
-    red_edges = {e for e in t.red_edges if not pair & set(e)}
-    black_edges.update(_norm_edge(merged, w) for w in black)
-    red_edges.update(_norm_edge(merged, w) for w in red)
-    return Trigraph(frozenset(vertices), frozenset(black_edges), frozenset(red_edges))
-
-
-@dataclass(frozen=True)
 class ContractionStep:
     u: str
     v: str
@@ -169,28 +97,6 @@ ContractionSequence = tuple[ContractionStep, ...]
 
 class SequenceError(DomainError):
     """A contraction sequence is malformed (wrong length or missing vertices)."""
-
-
-def _check_length(g: Graph, seq: Sequence[ContractionStep]) -> None:
-    if not g.vertices:
-        raise DomainError("empty graph has no contraction sequence")
-    if len(seq) != len(g.vertices) - 1:
-        raise SequenceError(
-            f"sequence has {len(seq)} steps, a full sequence on {len(g.vertices)} vertices needs {len(g.vertices) - 1}"
-        )
-
-
-def apply_sequence(g: Graph, seq: Sequence[ContractionStep]) -> list[Trigraph]:
-    """All trigraphs along a full contraction sequence, the input included."""
-    _check_length(g, seq)
-    t = Trigraph.from_graph(g)
-    out = [t]
-    for step in seq:
-        if step.u not in t.vertices or step.v not in t.vertices:
-            raise SequenceError(f"step {step} references a vertex missing at that point")
-        t = contract(t, step.u, step.v, step.merged)
-        out.append(t)
-    return out
 
 
 def _bits(mask: int):
@@ -214,9 +120,9 @@ def _adjacency(g: Graph) -> tuple[list[str], list[int]]:
 def _contract_masks(black: list[int], red: list[int], a: int, b: int) -> int:
     """Contract slot b into slot a of bitmask neighbourhoods, in place.
 
-    The rule is ``contract``'s.  Only slots adjacent to a or b change, and
-    the slots whose red degree can change are exactly the red neighbours of
-    the merged vertex, whose mask is returned.
+    The rule is the one in the module docstring.  Only slots adjacent to a
+    or b change, and the slots whose red degree can change are exactly the
+    red neighbours of the merged vertex, whose mask is returned.
     """
     pair = (1 << a) | (1 << b)
     touched = (black[a] | black[b] | red[a] | red[b]) & ~pair
@@ -238,10 +144,18 @@ def _contract_masks(black: list[int], red: list[int], a: int, b: int) -> int:
 def sequence_width(g: Graph, seq: Sequence[ContractionStep]) -> int:
     """Maximum red degree over all trigraphs of a full contraction sequence.
 
-    A replay on bitmask neighbourhoods, with the checks and errors of
-    ``apply_sequence`` in the same order; it builds no trigraph.
+    A replay on bitmask neighbourhoods that builds no trigraph.  It checks,
+    in this order: a nonempty graph (``DomainError``), n - 1 steps
+    (``SequenceError``), and per step both ends live (``SequenceError``),
+    distinct ends, and a merged name that no other live vertex holds (both
+    ``DomainError``).
     """
-    _check_length(g, seq)
+    if not g.vertices:
+        raise DomainError("empty graph has no contraction sequence")
+    if len(seq) != len(g.vertices) - 1:
+        raise SequenceError(
+            f"sequence has {len(seq)} steps, a full sequence on {len(g.vertices)} vertices needs {len(g.vertices) - 1}"
+        )
     order, black = _adjacency(g)
     red = [0] * len(order)
     slot = {v: i for i, v in enumerate(order)}
@@ -319,19 +233,6 @@ def find_twins(g: Graph) -> list[tuple[str, str]]:
         if g.neighbors(u) - {v} == g.neighbors(v) - {u}:
             out.append((u, v))
     return out
-
-
-def twin_free_core(g: Graph) -> Graph:
-    """Delete one vertex of some twin pair until no twins remain.
-
-    Deterministic: always drops the larger vertex of the first twin pair.
-    """
-    while True:
-        twins = find_twins(g)
-        if not twins:
-            return g
-        _, gone = twins[0]
-        g = g.subgraph(g.vertices - {gone})
 
 
 # ---------------------------------------------------------------------------

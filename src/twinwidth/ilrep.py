@@ -102,18 +102,6 @@ def rep_from_intervals(
     return IntervalLikeRep(ends, pairs, kind)
 
 
-def interval_vertex_map(
-    intervals: Sequence[tuple[str, Fraction | int, Fraction | int]]
-) -> dict[str, str]:
-    """Input interval id -> decoded vertex id, for oracle comparisons."""
-    values = sorted({Fraction(v) for _, l, r in intervals for v in (l, r)})
-    name = {v: end_name(i) for i, v in enumerate(values)}
-    return {
-        ident: pair_name((name[Fraction(l)], name[Fraction(r)]))
-        for ident, l, r in intervals
-    }
-
-
 @dataclass(frozen=True)
 class ChordDiagram:
     """Circular endpoint sequence of chords; every chord label appears exactly twice."""
@@ -398,7 +386,7 @@ def intervals_from_text(text: str) -> list[tuple[str, Fraction, Fraction]]:
             raise FormatError(f"bad interval line: {ln!r}")
         try:
             out.append((parts[1], Fraction(parts[2]), Fraction(parts[3])))
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"bad interval bounds in {ln!r}") from exc
     return out
 

@@ -46,7 +46,7 @@ def _contract_name(live: set[str], u: str, v: str) -> str:
 
     The name is ``u + v``, primed until no other live vertex has it: a plain
     concatenation can repeat a live name (``a`` + ``b`` beside a vertex
-    ``ab``), which ``contract`` rejects.
+    ``ab``), which ``sequence_width`` rejects.
     """
     live -= {u, v}
     merged = u + v

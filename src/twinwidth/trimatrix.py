@@ -137,28 +137,7 @@ def matrix_from_text(text: str) -> TriMatrix:
 
 
 # ---------------------------------------------------------------------------
-# contractions and the red number
-
-
-def _merge_lines(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    return tuple(x if x == y else RED for x, y in zip(a, b))
-
-
-def contract_rows(m: TriMatrix, keep: str, drop: str) -> TriMatrix:
-    if keep == drop:
-        raise DomainError("cannot contract a row with itself")
-    try:
-        ki, di = m._row_pos[keep], m._row_pos[drop]
-    except KeyError as exc:
-        raise DomainError(f"unknown row key: {exc.args[0]!r}") from exc
-    merged = _merge_lines(m.rows[ki], m.rows[di])
-    rows = tuple(merged if i == ki else r for i, r in enumerate(m.rows) if i != di)
-    keys = tuple(k for k in m.row_keys if k != drop)
-    return TriMatrix(keys, m.col_keys, rows)
-
-
-def contract_cols(m: TriMatrix, keep: str, drop: str) -> TriMatrix:
-    return contract_rows(m.transpose(), keep, drop).transpose()
+# the red number
 
 
 def red_number(m: TriMatrix) -> int:
@@ -168,24 +147,6 @@ def red_number(m: TriMatrix) -> int:
     for j in range(len(m.col_keys)):
         best = max(best, sum(1 for row in m.rows if row[j] == RED))
     return best
-
-
-def replay_symmetric(m: TriMatrix, pairs: Sequence[tuple[str, str]]) -> list[int]:
-    """Red numbers along a symmetric contraction sequence.
-
-    Each pair (keep, drop) contracts the rows and then immediately the
-    columns; the red number is recorded once per pair, after both, which is
-    how symmetric sequences are displayed.  Index 0 is the input matrix.
-    """
-    if m.row_keys != m.col_keys:
-        raise DomainError("symmetric replay needs identical row and column keys")
-    out = [red_number(m)]
-    for keep, drop in pairs:
-        m = contract_cols(contract_rows(m, keep, drop), keep, drop)
-        out.append(red_number(m))
-    if len(m.row_keys) != 1:
-        raise DomainError("symmetric sequence did not reach a 1x1 matrix")
-    return out
 
 
 # ---------------------------------------------------------------------------

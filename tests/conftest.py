@@ -17,10 +17,10 @@ import pytest
 
 from twinwidth import fologic as fo
 from twinwidth.errors import DomainError
-from twinwidth.graphs import ContractionStep, Graph, Trigraph, _adjacency, _bits, _contract_masks, contract
-from twinwidth.ilrep import INTERVAL, OVERLAP, IntervalLikeRep, decode, pair_name, rep_from_intervals, unify
+from twinwidth.graphs import ContractionStep, Graph, _adjacency, _bits, _contract_masks
+from twinwidth.ilrep import INTERVAL, OVERLAP, IntervalLikeRep, decode, end_name, pair_name, rep_from_intervals, unify
 from twinwidth.solver import SolveResult, _contract_name
-from twinwidth.trimatrix import TriMatrix, _discrete, _merge, _moves, _zone_mixed
+from twinwidth.trimatrix import RED, TriMatrix, _discrete, _merge, _moves, _zone_mixed, red_number
 
 DATA = Path(__file__).parent / "data"
 
@@ -64,26 +64,79 @@ def nested_sentence(depth: int) -> str:
     return "(exists x (exists y " + "(not " * nots + "(edge x y)" + ")" * nots + "))"
 
 
+def quantifier_chain(depth: int) -> str:
+    """``depth - 1`` nested existential quantifiers around one atom (depth >= 2)."""
+    q = depth - 1
+    return "".join(f"(exists x{i} " for i in range(q)) + f"(edge x0 x{q - 1})" + ")" * q
+
+
 # ---------------------------------------------------------------------------
 # oracles
+
+
+def reference_contract(black: dict, red: dict, u: str, v: str, merged: str) -> tuple[dict, dict]:
+    """Black and red neighbour sets after merging u and v into ``merged``.
+
+    The rule of the ``graphs`` docstring, applied to plain sets: the merged
+    vertex is red to ((N_red(u) | N_red(v)) | (N(u) ^ N(v))) - {u, v} and black
+    to the rest of N(u) | N(v), with N = black + red.
+    """
+    n_u, n_v = black[u] | red[u], black[v] | red[v]
+    new_red = (red[u] | red[v] | (n_u ^ n_v)) - {u, v}
+    new_black = (n_u | n_v) - {u, v} - new_red
+    black = {w: s - {u, v} | ({merged} if w in new_black else set()) for w, s in black.items() if w not in (u, v)}
+    red = {w: s - {u, v} | ({merged} if w in new_red else set()) for w, s in red.items() if w not in (u, v)}
+    black[merged], red[merged] = new_black, new_red
+    return black, red
+
+
+def reference_start(g: Graph) -> tuple[dict, dict]:
+    return {v: g.neighbors(v) for v in g.vertices}, {v: frozenset() for v in g.vertices}
 
 
 def brute_twinwidth(g: Graph) -> int:
     """Minimum width over every contraction sequence, enumerated outright."""
     best = [len(g.vertices)]
 
-    def go(t: Trigraph, mx: int) -> None:
-        if len(t.vertices) == 1:
+    def go(black: dict, red: dict, mx: int) -> None:
+        if len(black) == 1:
             best[0] = min(best[0], mx)
             return
         if mx >= best[0]:
             return
-        for u, v in itertools.combinations(sorted(t.vertices), 2):
-            t2 = contract(t, u, v)
-            go(t2, max(mx, t2.max_red_degree()))
+        for u, v in itertools.combinations(sorted(black), 2):
+            b2, r2 = reference_contract(black, red, u, v, u)
+            go(b2, r2, max(mx, *map(len, r2.values())))
 
-    go(Trigraph.from_graph(g), 0)
+    go(*reference_start(g), 0)
     return best[0]
+
+
+def reference_merge(m: TriMatrix, axis: int, keep: str, drop: str) -> TriMatrix:
+    """Merge line ``drop`` into line ``keep`` of the rows (axis 0) or columns
+    (axis 1); an entry where the two lines differ becomes RED."""
+    if axis:
+        return reference_merge(m.transpose(), 0, keep, drop).transpose()
+    line = dict(zip(m.row_keys, m.rows))
+    line[keep] = tuple(x if x == y else RED for x, y in zip(line[keep], line.pop(drop)))
+    return TriMatrix.build(line, m.col_keys, line.values())
+
+
+def reference_symmetric_reds(m: TriMatrix, pairs) -> list[int]:
+    """Red numbers along a symmetric sequence, once per (keep, drop) pair after
+    both its row and its column merge; index 0 is the input matrix."""
+    reds = [red_number(m)]
+    for keep, drop in pairs:
+        m = reference_merge(reference_merge(m, 0, keep, drop), 1, keep, drop)
+        reds.append(red_number(m))
+    return reds
+
+
+def interval_vertex_map(intervals) -> dict[str, str]:
+    """Input interval id -> the vertex id that decoding gives it."""
+    values = sorted({Fraction(v) for _, l, r in intervals for v in (l, r)})
+    name = {v: end_name(i) for i, v in enumerate(values)}
+    return {ident: pair_name((name[Fraction(l)], name[Fraction(r)])) for ident, l, r in intervals}
 
 
 def reference_walk(sizes, profile):

@@ -13,8 +13,6 @@ import pytest
 from twinwidth.graphs import (
     ContractionStep,
     Graph,
-    Trigraph,
-    contract,
     find_twins,
     is_isomorphic,
     permutation_graph,
@@ -57,10 +55,18 @@ from twinwidth.trimatrix import (
     find_mixed_minor,
     matrix_twinwidth_exact,
     permutation_matrix,
-    replay_symmetric,
 )
 
-from conftest import DATA, DEMO5_EDGES, DEMO6_INTERVALS, oracle_chord_crossings
+from conftest import (
+    DATA,
+    DEMO5_EDGES,
+    DEMO6_INTERVALS,
+    interval_vertex_map,
+    oracle_chord_crossings,
+    reference_contract,
+    reference_start,
+    reference_symmetric_reds,
+)
 from test_fologic import random_formula
 from test_solver import random_cograph, random_graph
 
@@ -88,7 +94,7 @@ def test_criterion_1_worked_sequence_reproduction():
     )
     assert verify_sequence(g, seq, 2)
     assert not verify_sequence(g, seq, 1)
-    reds = replay_symmetric(adjacency_matrix(g), [("a", "b"), ("d", "e"), ("c", "d"), ("a", "c")])
+    reds = reference_symmetric_reds(adjacency_matrix(g), [("a", "b"), ("d", "e"), ("c", "d"), ("a", "c")])
     assert reds[2] == 3 and max(reds) == 3
     budget.done("graph width 2, matrix replay peaks at 3 in the third matrix")
 
@@ -198,7 +204,6 @@ def test_criterion_5_permutation_extraction():
 def test_criterion_6_exposure_generation():
     budget = Budget("criterion 6 (exposure)", 30.0)
     from twinwidth.fologic import transduce_permutation
-    from twinwidth.ilrep import interval_vertex_map
 
     checked = 0
     for p in (1, 2, 3, 4):
@@ -248,17 +253,18 @@ def test_criterion_9_solver_cross_checks():
     rng = random.Random(1009)
 
     def twins_only_zero(g: Graph) -> bool:
-        t = Trigraph.from_graph(g)
-        while len(t.vertices) > 1:
+        black, red = reference_start(g)
+        while len(black) > 1:
             twins = [
                 (u, v)
-                for u, v in itertools.combinations(sorted(t.vertices), 2)
-                if t.neighbors(u) - {v} == t.neighbors(v) - {u}
+                for u, v in itertools.combinations(sorted(black), 2)
+                if (black[u] | red[u]) - {v} == (black[v] | red[v]) - {u}
             ]
             if not twins:
                 return False
-            t = contract(t, *twins[0])
-            if t.red_edges:
+            u, v = twins[0]
+            black, red = reference_contract(black, red, u, v, u)
+            if any(red.values()):
                 return False
         return True
 

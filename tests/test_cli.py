@@ -10,9 +10,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from twinwidth import fologic, graphs, trimatrix
+from twinwidth import fologic, graphs, solver, trimatrix
 from twinwidth.cli import run
-from conftest import DATA, nested_sentence
+from conftest import DATA, nested_sentence, quantifier_chain
 
 GOLDEN = DATA / "golden"
 SCHEMAS = Path(__file__).parent.parent / "docs" / "schemas"
@@ -164,19 +164,23 @@ def test_condense_and_fo_check_past_twelve_vertices(capsys):
 
 
 def test_fo_check_nesting_limit(capsys, tmp_path):
-    at_limit = tmp_path / "at.fo"
-    at_limit.write_text(nested_sentence(fologic.MAX_FORMULA_DEPTH) + "\n")
-    fo = ["fo-check", "--intervals", str(DATA / "demo6.ivl"), "--formula", str(at_limit)]
-    code, pipeline = run_cli(capsys, *fo)
-    assert code == 0
-    _, direct = run_cli(capsys, *fo, "--direct")
-    assert json.loads(pipeline) == json.loads(direct)
-    over = tmp_path / "over.fo"
-    over.write_text(nested_sentence(fologic.MAX_FORMULA_DEPTH + 1) + "\n")
-    for extra in ([], ["--direct"]):
-        assert run(["fo-check", "--intervals", str(DATA / "demo6.ivl"), "--formula", str(over), *extra]) == 1
-        err = capsys.readouterr().err
-        assert err == f"error: formula nests deeper than {fologic.MAX_FORMULA_DEPTH} parentheses\n"
+    # the pipeline turns each quantifier into two levels of the rewritten formula
+    limit = fologic.MAX_FORMULA_DEPTH
+    for shape in (nested_sentence, quantifier_chain):
+        at_limit = tmp_path / "at.fo"
+        at_limit.write_text(shape(limit) + "\n")
+        fo = ["fo-check", "--intervals", str(DATA / "demo6.ivl"), "--formula", str(at_limit)]
+        code, pipeline = run_cli(capsys, *fo)
+        assert code == 0
+        code, direct = run_cli(capsys, *fo, "--direct")
+        assert code == 0
+        assert json.loads(pipeline) == json.loads(direct)
+        over = tmp_path / "over.fo"
+        over.write_text(shape(limit + 1) + "\n")
+        for extra in ([], ["--direct"]):
+            assert run(["fo-check", "--intervals", str(DATA / "demo6.ivl"), "--formula", str(over), *extra]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: formula nests deeper than {limit} parentheses\n"
 
 
 @pytest.mark.parametrize("text", ["(exists x (or true (foo x x)))", "(exists x (or true (m x)))"])
@@ -339,6 +343,34 @@ def test_exit_codes(capsys, tmp_path):
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, data, err",
+    [
+        (["tww", "greedy", "--graph"], b"graph g 1 0\nv \xff\n", "error: cannot read {path}: 'utf-8' codec can't decode"),
+        (["decode", "--intervals"], b"i a 1/0 2\n", "error: bad interval bounds in 'i a 1/0 2'\n"),
+    ],
+    ids=["non-utf8", "zero-denominator"],
+)
+def test_undecodable_input_is_one_error_line(capsys, tmp_path, argv, data, err):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    assert run([*argv, str(path)]) == 1
+    got = capsys.readouterr()
+    assert got.out == "" and got.err.startswith(err.format(path=path)) and got.err.count("\n") == 1
+
+
+def test_tww_cap_defaults_to_each_solvers_own(capsys, monkeypatch, demo5_adj):
+    caps = []
+    for module, name in ((solver, "twinwidth_exact"), (trimatrix, "matrix_twinwidth_exact")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real, **kw: caps.append(kw.get("cap")) or real(*a, **kw))
+    for source in (["--graph", str(DATA / "demo5.g")], ["--matrix", str(demo5_adj)]):
+        assert run(["tww", "exact", *source]) == 0
+        assert run(["tww", "exact", *source, "--cap", "9"]) == 0
+    capsys.readouterr()
+    assert caps == [None, 9, None, 9]
 
 
 @pytest.mark.parametrize("case", ["circle", "interval"])

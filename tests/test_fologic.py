@@ -29,7 +29,6 @@ from twinwidth.fologic import (
     parse_formula,
     quantifier_depth,
     rewrite,
-    structure_to_graph,
     transduce_permutation,
     transduction_image,
 )
@@ -244,6 +243,13 @@ def test_de_morgan_and_quantifier_duality():
         if isinstance(f, (Exists, Forall)):
             flipped = Not(Exists(f.var, Not(f.body))) if isinstance(f, Forall) else f
             assert evaluate(st, f) == evaluate(st, flipped)
+
+
+def structure_to_graph(st):
+    """The graph of a structure's ``edge`` relation, which must be symmetric and loop-free."""
+    rel = st.relations["edge"]
+    assert all(a != b and (b, a) in rel for a, b in rel)
+    return Graph.build(st.domain, rel)
 
 
 def test_identity_interpretation():

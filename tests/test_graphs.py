@@ -9,9 +9,9 @@ from twinwidth.graphs import (
     ContractionStep,
     Graph,
     SequenceError,
-    Trigraph,
-    apply_sequence,
-    contract,
+    _adjacency,
+    _bits,
+    _contract_masks,
     find_twins,
     graph_from_text,
     graph_to_text,
@@ -22,40 +22,43 @@ from twinwidth.graphs import (
     sequence_from_text,
     sequence_to_text,
     sequence_width,
-    twin_free_core,
 )
 from twinwidth.solver import twinwidth_exact, twinwidth_greedy
-from conftest import DEMO5_EDGES, brute_twinwidth, complete_graph, path_graph
+from conftest import brute_twinwidth, complete_graph, path_graph, reference_contract, reference_start
+
+
+def contract_pair(g, u, v):
+    """Black and red neighbour sets after ``_contract_masks`` merges u and v into ``u + v``."""
+    order, black = _adjacency(g)
+    red = [0] * len(order)
+    a, b = order.index(u), order.index(v)
+    _contract_masks(black, red, a, b)
+    names = order[:a] + [u + v] + order[a + 1 :]
+    sets = lambda masks: {names[i]: {names[w] for w in _bits(masks[i])} for i in range(len(order)) if i != b}
+    return sets(black), sets(red)
 
 
 def test_contract_demo5_example(demo5_graph):
-    t = contract(Trigraph.from_graph(demo5_graph), "a", "b")
-    assert t.black_neighbors("ab") == {"c"}
-    assert t.red_neighbors("ab") == {"d", "e"}
+    black, red = contract_pair(demo5_graph, "a", "b")
+    assert black["ab"] == {"c"}
+    assert red["ab"] == {"d", "e"}
 
 
 def test_contract_twins_no_red():
-    g = complete_graph("abc")
-    t = contract(Trigraph.from_graph(g), "a", "b")
-    assert not t.red_edges
+    _, red = contract_pair(complete_graph("abc"), "a", "b")
+    assert not any(red.values())
 
 
 def test_contract_path_endpoints():
     # both endpoints of a path on three vertices see only the middle: no red
-    t = contract(Trigraph.from_graph(path_graph("abc")), "a", "c")
-    assert t.black_neighbors("ac") == {"b"}
-    assert not t.red_edges
+    black, red = contract_pair(path_graph("abc"), "a", "c")
+    assert black["ac"] == {"b"}
+    assert not any(red.values())
     # adjacent pair of the same path: the far endpoint disagrees, so red
-    t2 = contract(Trigraph.from_graph(path_graph("abc")), "a", "b")
-    assert t2.red_neighbors("ab") == {"c"}
-
-
-def test_contract_errors():
-    t = Trigraph.from_graph(path_graph("ab"))
-    with pytest.raises(DomainError):
-        contract(t, "a", "a")
-    with pytest.raises(DomainError):
-        contract(t, "a", "zz")
+    _, red = contract_pair(path_graph("abc"), "a", "b")
+    assert red["ab"] == {"c"}
+    steps = (ContractionStep("a", "b", "ab"), ContractionStep("ab", "c", "abc"))
+    assert sequence_width(path_graph("abc"), steps) == 1
 
 
 def test_sequence_width_demo5(demo5_graph):
@@ -83,23 +86,13 @@ def test_p4_best_sequence_width_is_one():
     assert brute_twinwidth(g) == 1
 
 
-def test_sequence_errors(demo5_graph):
-    from twinwidth.graphs import SequenceError
-
-    with pytest.raises(SequenceError):
-        sequence_width(demo5_graph, (ContractionStep("a", "b", "ab"),))
-    bad = (
-        ContractionStep("a", "b", "ab"),
-        ContractionStep("d", "zz", "x"),
-        ContractionStep("c", "x", "y"),
-        ContractionStep("ab", "y", "z"),
-    )
-    with pytest.raises(SequenceError):
-        sequence_width(demo5_graph, bad)
-
-
 def reference_width(g, seq):
-    return max(t.max_red_degree() for t in apply_sequence(g, seq))
+    black, red = reference_start(g)
+    width = 0
+    for s in seq:
+        black, red = reference_contract(black, red, s.u, s.v, s.merged)
+        width = max(width, *map(len, red.values()))
+    return width
 
 
 def random_sequence(rng, g):
@@ -134,35 +127,32 @@ def test_sequence_width_replay_matches_trigraph_reference():
     assert cases == 2 * 210
 
 
-def test_sequence_width_replay_raises_like_reference(demo5_graph):
-    c = ContractionStep
+def test_sequence_width_checks_in_order(demo5_graph):
     cases = [
-        # wrong length
-        (c("a", "b", "ab"),),
-        # a vertex missing at that point
-        (c("a", "b", "ab"), c("a", "c", "ac"), c("ac", "d", "x"), c("x", "e", "y")),
-        # u == v
-        (c("a", "b", "ab"), c("c", "c", "cc"), c("cc", "d", "x"), c("x", "e", "y")),
+        ("c a b ab", "SequenceError: sequence has 1 steps, a full sequence on 5 vertices needs 4"),
+        # a vertex missing at that point is found before u == v
+        (
+            "c a b ab;c a a aa;c c d x;c x e y",
+            "SequenceError: step ContractionStep(u='a', v='a', merged='aa') references a vertex missing at that point",
+        ),
+        ("c a b ab;c c c cc;c cc d x;c x e y", "DomainError: cannot contract a vertex with itself"),
         # merged id taken by another live vertex
-        (c("a", "b", "ab"), c("c", "d", "e"), c("e", "ab", "x"), c("x", "e", "y")),
+        ("c a b ab;c c d e;c e ab x;c x e y", "DomainError: merged vertex id 'e' already present"),
     ]
-    for seq in cases:
-        with pytest.raises(DomainError) as want:
-            reference_width(demo5_graph, seq)
+    steps = lambda text: sequence_from_text(text.replace(";", "\n"))
+    for text, want in cases:
         with pytest.raises(DomainError) as got:
-            sequence_width(demo5_graph, seq)
-        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
-    # a merged id equal to u is no error under either
-    keep_u = (c("a", "b", "a"), c("d", "e", "e"), c("c", "e", "c"), c("a", "c", "a"))
+            sequence_width(demo5_graph, steps(text))
+        assert f"{type(got.value).__name__}: {got.value}" == want
+    # a merged id equal to u is no error
+    keep_u = steps("c a b a;c d e e;c c e c;c a c a")
     assert sequence_width(demo5_graph, keep_u) == reference_width(demo5_graph, keep_u) == 2
 
 
 def test_sequence_width_empty_graph():
-    empty = Graph.build([], [])
-    for fn in (sequence_width, apply_sequence):
-        with pytest.raises(DomainError, match="^empty graph has no contraction sequence$") as exc:
-            fn(empty, ())
-        assert not isinstance(exc.value, SequenceError)
+    with pytest.raises(DomainError, match="^empty graph has no contraction sequence$") as exc:
+        sequence_width(Graph.build([], []), ())
+    assert not isinstance(exc.value, SequenceError)
 
 
 def test_permutation_graph_examples():
@@ -185,20 +175,10 @@ def test_permutation_from_orders():
 
 
 def test_find_twins_examples():
-    k3 = complete_graph("abc")
-    assert find_twins(k3) == [("a", "b"), ("a", "c"), ("b", "c")]
-    assert len(twin_free_core(k3).vertices) == 1
-
+    assert find_twins(complete_graph("abc")) == [("a", "b"), ("a", "c"), ("b", "c")]
     assert find_twins(path_graph("abcd")) == []
-    assert twin_free_core(path_graph("abcd")) == path_graph("abcd")
-
     star = Graph.build("cxyz", [("c", "x"), ("c", "y"), ("c", "z")])
     assert find_twins(star) == [("x", "y"), ("x", "z"), ("y", "z")]
-    # deleting leaves reaches K2, whose endpoints are adjacent twins, so the
-    # twin-free fixpoint is a single vertex
-    core = twin_free_core(star)
-    assert len(core.vertices) == 1
-    assert not find_twins(core)
 
 
 def test_is_isomorphic_examples(demo5_graph):
@@ -217,15 +197,13 @@ def test_contract_invariants(mask):
     vs = "abcdef"
     pairs = list(itertools.combinations(vs, 2))
     g = Graph.build(vs, [p for i, p in enumerate(pairs) if mask >> i & 1])
-    t = Trigraph.from_graph(g)
-    t2 = contract(t, "a", "b")
-    assert len(t2.vertices) == len(t.vertices) - 1
-    assert not t2.black_edges & t2.red_edges
-    assert all(u != v for u, v in t2.red_edges)
+    black, red = contract_pair(g, "a", "b")
+    assert (black, red) == reference_contract(*reference_start(g), "a", "b", "ab")
+    assert len(black) == len(vs) - 1
+    assert all(not black[w] & red[w] and w not in red[w] for w in black)
     # twins contract without growing the red edge set
     for u, v in find_twins(g):
-        tt = contract(t, u, v)
-        assert not tt.red_edges
+        assert not any(contract_pair(g, u, v)[1].values())
 
 
 def test_sequence_width_relabel_invariant(demo5_graph):

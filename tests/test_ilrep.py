@@ -20,7 +20,6 @@ from twinwidth.ilrep import (
     decode_from_matrix,
     intervals_from_text,
     intervals_to_text,
-    interval_vertex_map,
     pair_name,
     recognize_interval,
     rep_from_chords,
@@ -32,6 +31,7 @@ from twinwidth.ilrep import (
 from twinwidth.trimatrix import RED, TriMatrix, matrix_to_text
 from conftest import (
     DEMO6_INTERVALS,
+    interval_vertex_map,
     oracle_chord_crossings,
     oracle_interval_graph,
     reference_condense,

@@ -14,7 +14,6 @@ from twinwidth.ilrep import (
     build_ilmatrix,
     condense,
     decode,
-    interval_vertex_map,
     rep_from_intervals,
     unify,
 )
@@ -31,6 +30,7 @@ from twinwidth.obstruction import (
     reversal,
 )
 from twinwidth.trimatrix import find_mixed_minor, permutation_matrix, verify_division_mixed
+from conftest import interval_vertex_map
 
 
 def all_perms(p):

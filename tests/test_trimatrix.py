@@ -8,9 +8,10 @@ from twinwidth.graphs import Graph
 from twinwidth.trimatrix import (
     RED,
     TriMatrix,
+    _discrete,
+    _matrix_profile,
+    _merge,
     adjacency_matrix,
-    contract_cols,
-    contract_rows,
     find_mixed_minor,
     matrix_from_text,
     matrix_to_text,
@@ -18,11 +19,10 @@ from twinwidth.trimatrix import (
     matrix_twinwidth_greedy,
     permutation_matrix,
     red_number,
-    replay_symmetric,
     verify_division_mixed,
 )
 from twinwidth.solver import ordering_without_mixed_minor
-from conftest import DATA, DEMO5_EDGES, oracle_mixed_minor
+from conftest import DATA, oracle_mixed_minor, reference_merge, reference_symmetric_reds
 
 
 def random_matrix(rng, nr, nc, symbols=(0, 1)):
@@ -33,35 +33,39 @@ def random_matrix(rng, nr, nc, symbols=(0, 1)):
     )
 
 
+def quotient_profile(m, moves, symmetric=False):
+    """``_matrix_profile``'s (red number, free move) after the (axis, a, b) group merges."""
+    state = _discrete((len(m.row_keys),) if symmetric else m.shape())
+    for move in moves:
+        state = _merge(state, *move)
+    return _matrix_profile(m, symmetric)(state)
+
+
 def test_demo5_symmetric_contraction_step(demo5_graph):
     m = adjacency_matrix(demo5_graph)
-    m2 = contract_cols(contract_rows(m, "a", "b"), "a", "b")
+    m2 = reference_merge(reference_merge(m, 0, "a", "b"), 1, "a", "b")
     assert m2.entry("a", "d") == RED and m2.entry("a", "e") == RED
     assert m2.entry("d", "a") == RED and m2.entry("e", "a") == RED
     assert m2.entry("a", "c") == 1 and m2.entry("c", "a") == 1
     assert m2.entry("c", "d") == 1 and m2.entry("d", "e") == 1
+    assert quotient_profile(m, [(0, 0, 1)], symmetric=True)[0] == red_number(m2) == 2
 
 
 def test_contract_identical_rows_no_red():
     m = TriMatrix.build(["x", "y"], ["c1", "c2"], [[0, 1], [0, 1]])
-    assert RED not in contract_rows(m, "x", "y").rows[0]
+    assert RED not in reference_merge(m, 0, "x", "y").rows[0]
+    # identical rows are the profile's free move
+    assert quotient_profile(m, []) == (0, (0, 0, 1))
 
 
 def test_contract_identity_rows_all_red():
     m = TriMatrix.build(["x", "y"], ["c1", "c2"], [[1, 0], [0, 1]])
-    assert contract_rows(m, "x", "y").rows[0] == (RED, RED)
-
-
-def test_contract_errors():
-    m = TriMatrix.build(["x", "y"], ["c"], [[0], [1]])
-    with pytest.raises(DomainError):
-        contract_rows(m, "x", "x")
-    with pytest.raises(DomainError):
-        contract_rows(m, "x", "zz")
+    assert reference_merge(m, 0, "x", "y").rows[0] == (RED, RED)
+    assert quotient_profile(m, [(0, 0, 1)])[0] == 2
 
 
 def test_red_number_examples(demo5_graph):
-    reds = replay_symmetric(adjacency_matrix(demo5_graph), [("a", "b"), ("d", "e"), ("c", "d"), ("a", "c")])
+    reds = reference_symmetric_reds(adjacency_matrix(demo5_graph), [("a", "b"), ("d", "e"), ("c", "d"), ("a", "c")])
     assert reds == [0, 2, 3, 2, 1]
     assert red_number(TriMatrix.build(["r"], ["c1", "c2"], [[0, 2]])) == 0
     diag = TriMatrix.build(
@@ -71,24 +75,14 @@ def test_red_number_examples(demo5_graph):
     assert red_number(diag) == 1
 
 
-def test_red_number_growth_locality():
-    rng = random.Random(0)
-    for _ in range(50):
-        m = random_matrix(rng, 4, 4, (0, 1, 2))
-        keep, drop = "r0", "r2"
-        before = red_number(m)
-        after_m = contract_rows(m, keep, drop)
-        after = red_number(after_m)
-        if after > before:
-            ki = m.row_keys.index(keep)
-            di = m.row_keys.index(drop)
-            disagreed = [j for j in range(4) if m.rows[ki][j] != m.rows[di][j]]
-            row_count = sum(1 for v in after_m.rows[after_m.row_keys.index(keep)] if v == RED)
-            col_counts = {
-                j: sum(1 for row in after_m.rows if row[after_m.col_keys.index(m.col_keys[j])] == RED)
-                for j in disagreed
-            }
-            assert after == max([row_count, *col_counts.values()])
+def test_quotient_red_number_matches_reference_merge():
+    # inputs may hold RED, which stays RED in any group it joins
+    rng = random.Random(7)
+    for _ in range(40):
+        m = random_matrix(rng, 4, 4, (0, 1, 2, RED))
+        merged = reference_merge(reference_merge(m, 0, "r0", "r2"), 1, "c1", "c3")
+        assert quotient_profile(m, [(0, 0, 2), (1, 1, 3)])[0] == red_number(merged)
+        assert all(merged.entry("r0", k) == RED for k in merged.col_keys if m.entry("r0", k) == RED)
 
 
 def test_matrix_twinwidth_examples(demo5_graph):
@@ -100,7 +94,7 @@ def test_matrix_twinwidth_examples(demo5_graph):
 
 
 def test_matrix_twinwidth_against_stepwise_enumeration():
-    # independent oracle: enumerate every contraction order with the row/col ops
+    # independent oracle: enumerate every contraction order with the reference merges
     def oracle(m: TriMatrix) -> int:
         best = [len(m.row_keys) + len(m.col_keys)]
 
@@ -111,10 +105,10 @@ def test_matrix_twinwidth_against_stepwise_enumeration():
             if mx >= best[0]:
                 return
             for a, b in itertools.combinations(cur.row_keys, 2):
-                nxt = contract_rows(cur, a, b)
+                nxt = reference_merge(cur, 0, a, b)
                 go(nxt, max(mx, red_number(nxt)))
             for a, b in itertools.combinations(cur.col_keys, 2):
-                nxt = contract_cols(cur, a, b)
+                nxt = reference_merge(cur, 1, a, b)
                 go(nxt, max(mx, red_number(nxt)))
 
         go(m, red_number(m))
@@ -205,19 +199,6 @@ def test_permutation_matrix_examples():
         assert m.rows[i][j - 1] == 1 and sum(m.rows[i]) == 1
 
 
-def test_contraction_shrinks_and_red_is_sticky():
-    rng = random.Random(7)
-    for _ in range(40):
-        m = random_matrix(rng, 4, 4, (0, 1, 2, RED))
-        out = contract_rows(m, "r0", "r2")
-        assert len(out.row_keys) == len(m.row_keys) - 1
-        keep = m.row_keys.index("r0")
-        merged = out.rows[out.row_keys.index("r0")]
-        for j, v in enumerate(m.rows[keep]):
-            if v == RED:
-                assert merged[j] == RED
-
-
 def test_exact_value_admits_minor_free_ordering():
     rng = random.Random(8)
     for _ in range(10):
@@ -235,7 +216,7 @@ def test_minor_free_ordering_trivial_cases():
 
 def test_matrix_text_roundtrip(demo5_graph):
     m = adjacency_matrix(demo5_graph)
-    m = contract_rows(m, "a", "b")
+    m = reference_merge(m, 0, "a", "b")
     empty_axis = [TriMatrix.build(rows, cols, [[] for _ in rows]) for rows, cols in
                   (([], ["a", "b"]), (["x", "y"], []), ([], []))]
     for matrix in [m, *empty_axis]:
