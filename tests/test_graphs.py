@@ -61,6 +61,14 @@ def test_contract_path_endpoints():
     assert sequence_width(path_graph("abc"), steps) == 1
 
 
+def test_contract_errors():
+    g = path_graph("ab")
+    with pytest.raises(DomainError):
+        sequence_width(g, (ContractionStep("a", "a", "aa"),))
+    with pytest.raises(DomainError):
+        sequence_width(g, (ContractionStep("a", "zz", "x"),))
+
+
 def test_sequence_width_demo5(demo5_graph):
     seq = (
         ContractionStep("a", "b", "ab"),
@@ -84,6 +92,19 @@ def test_sequence_width_twins_only_is_zero():
 def test_p4_best_sequence_width_is_one():
     g = path_graph("abcd")
     assert brute_twinwidth(g) == 1
+
+
+def test_sequence_errors(demo5_graph):
+    with pytest.raises(SequenceError):
+        sequence_width(demo5_graph, (ContractionStep("a", "b", "ab"),))
+    bad = (
+        ContractionStep("a", "b", "ab"),
+        ContractionStep("d", "zz", "x"),
+        ContractionStep("c", "x", "y"),
+        ContractionStep("ab", "y", "z"),
+    )
+    with pytest.raises(SequenceError):
+        sequence_width(demo5_graph, bad)
 
 
 def reference_width(g, seq):
@@ -127,7 +148,7 @@ def test_sequence_width_replay_matches_trigraph_reference():
     assert cases == 2 * 210
 
 
-def test_sequence_width_checks_in_order(demo5_graph):
+def test_sequence_width_replay_raises_like_reference(demo5_graph):
     cases = [
         ("c a b ab", "SequenceError: sequence has 1 steps, a full sequence on 5 vertices needs 4"),
         # a vertex missing at that point is found before u == v

@@ -75,12 +75,30 @@ def test_red_number_examples(demo5_graph):
     assert red_number(diag) == 1
 
 
-def test_quotient_red_number_matches_reference_merge():
+def test_red_number_growth_locality():
+    # a row merge can raise the red number only through the merged row or the
+    # columns where the two rows disagreed
+    rng = random.Random(0)
+    for _ in range(50):
+        m = random_matrix(rng, 4, 4, (0, 1, 2))
+        before = red_number(m)
+        out = reference_merge(m, 0, "r0", "r2")
+        after = red_number(out)
+        assert quotient_profile(m, [(0, 0, 2)])[0] == after
+        if after > before:
+            disagreed = [j for j in range(4) if m.rows[0][j] != m.rows[2][j]]
+            col_counts = [sum(row[j] == RED for row in out.rows) for j in disagreed]
+            assert after == max([out.rows[0].count(RED), *col_counts])
+
+
+def test_contraction_shrinks_and_red_is_sticky():
     # inputs may hold RED, which stays RED in any group it joins
+    assert [len(axis) for axis in _merge(_discrete((4, 4)), 0, 0, 2)] == [3, 4]
     rng = random.Random(7)
     for _ in range(40):
         m = random_matrix(rng, 4, 4, (0, 1, 2, RED))
         merged = reference_merge(reference_merge(m, 0, "r0", "r2"), 1, "c1", "c3")
+        assert merged.shape() == (3, 3)
         assert quotient_profile(m, [(0, 0, 2), (1, 1, 3)])[0] == red_number(merged)
         assert all(merged.entry("r0", k) == RED for k in merged.col_keys if m.entry("r0", k) == RED)
 
