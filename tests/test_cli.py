@@ -1,16 +1,21 @@
 """CLI surface: golden files (one per command), exit codes, JSON schemas."""
 
+import hashlib
+import io
 import itertools
 import json
 import random
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from twinwidth import fologic, graphs, solver, trimatrix
+from twinwidth import fologic, graphs, ilrep, obstruction, perturb, solver, trimatrix
 from twinwidth.cli import run
 from conftest import DATA, nested_sentence, quantifier_chain
 
@@ -403,3 +408,114 @@ def test_console_script_entrypoint():
     )
     assert proc.returncode == 0
     assert "e 1 2" in proc.stdout
+
+
+# sha256 of `generate hplus-interval --pi 1 --json` (768 vertices, 163 712 edges)
+HPLUS_INTERVAL_SHA256 = "27b39fb2e7fb536f9b2a75189d7eb60a9ebe65a9d47001ac2118942af6e122aa"
+
+# vertex names that JSON must escape or that sort unlike their ranks; no whitespace (the .g format splits on it)
+NAMES = ("a", "B", "b", "9", "10", 'a"b', "\\", "é", "x,y", "日本", "😀", "\x7f", "u1", "w12")
+
+
+def run_stdout(argv: list[str]) -> tuple[int, str]:
+    """run() with stdout captured without capsys, which Hypothesis tests cannot take."""
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = run(argv)
+    return code, buf.getvalue()
+
+
+def graph_payload_text(vertices, edges, extra=None) -> str:
+    """The graph payload contract: json.dumps(indent=2) of plain lists, edges normalised and sorted."""
+    payload = {"vertices": sorted(vertices), "edges": sorted([min(u, v), max(u, v)] for u, v in edges)}
+    payload.update(extra or {})
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def test_hplus_interval_json_bytes_pinned():
+    code, out = run_stdout(["generate", "hplus-interval", "--pi", "1", "--json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == HPLUS_INTERVAL_SHA256
+
+
+def test_golden_perturb_escaped_names():
+    code, out = run_stdout(["perturb", "--graph", str(DATA / "names.g"), "--sets", 'a"b,é,\\;é,日本', "--json"])
+    assert code == 0
+    check_golden("perturb-names.txt", out)
+
+
+@st.composite
+def named_graphs(draw):
+    vertices = draw(st.lists(st.sampled_from(NAMES), unique=True, max_size=12))
+    pairs = list(itertools.combinations(vertices, 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return vertices, edges
+
+
+@settings(max_examples=40, deadline=None)
+@given(named_graphs(), st.data())
+@example(([], []), None)
+@example((list(NAMES[:12]), []), None)
+def test_perturb_json_matches_json_dumps(graph, data):
+    vertices, edges = graph
+    # names with a comma cannot be listed in --sets
+    listable = [v for v in vertices if "," not in v]
+    script = data.draw(st.lists(st.lists(st.sampled_from(listable), unique=True), max_size=3)) if data and listable else []
+    toggled = {frozenset(e) for e in edges}
+    for subset in script:
+        toggled ^= {frozenset(pair) for pair in itertools.combinations(subset, 2)}
+    text = f"graph g {len(vertices)} {len(edges)}\n"
+    text += "".join(f"v {v}\n" for v in vertices) + "".join(f"e {u} {v}\n" for u, v in edges)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.g"
+        path.write_text(text)
+        code, out = run_stdout(["perturb", "--graph", str(path), "--sets=" + ";".join(map(",".join, script)), "--json"])
+    assert code == 0
+    assert out == graph_payload_text(vertices, [tuple(e) for e in toggled])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)).map(sorted).map(tuple), unique=True, max_size=12),
+    st.sampled_from(ilrep.KINDS),
+)
+@example([], ilrep.INTERVAL)
+@example([(i, i) for i in range(12)], ilrep.INTERVAL)
+def test_decode_json_matches_json_dumps(spans, kind):
+    g = ilrep.decode(ilrep.rep_from_intervals([(f"i{k}", l, r) for k, (l, r) in enumerate(spans)], kind))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.ivl"
+        path.write_text("".join(f"i i{k} {l} {r}\n" for k, (l, r) in enumerate(spans)))
+        code, out = run_stdout(["decode", "--intervals", str(path), "--kind", kind, "--json"])
+    assert code == 0
+    assert out == graph_payload_text(g.vertices, g.edges)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("permgraph", "exposer", "hplus-circle", "hplus-interval")), st.data())
+@example("permgraph", None)
+@example("exposer", None)
+def test_generate_json_matches_json_dumps(what, data):
+    # sizes keep every graph at 0-12 vertices
+    p = {"permgraph": 12, "exposer": 4, "hplus-circle": 6, "hplus-interval": 1}[what]
+    word = tuple(data.draw(st.permutations(range(1, p + 1)))) if data else ()
+    argv = ["generate", what, "--pi", " ".join(map(str, word)), "--json"]
+    if what == "permgraph":
+        g, extra = graphs.permutation_graph(word), None
+    elif what == "exposer":
+        inst = obstruction.generate_exposer(word)
+        g = inst.graph
+        extra = {"core": list(inst.core), "side1": list(inst.side1), "side2": list(inst.side2),
+                 "intervals": [list(t) for t in inst.intervals]}
+    elif what == "hplus-circle":
+        gadget = perturb.build_circle_gadget(word, 0)
+        g, extra = gadget.graph, {"power_permutation": list(gadget.word), "exponent": gadget.orders.exponent}
+    else:
+        argv += ["--u-power", "1", "--exponent", "1"]
+        gadget = perturb.build_interval_gadget(word, 0, u_power=1, exponent=1)
+        g = gadget.materialize().graph
+        extra = {"core_vertices": gadget.size, "u_power": gadget.u_power, "z_power": gadget.z_power}
+    assert len(g.vertices) <= 12
+    code, out = run_stdout(argv)
+    assert code == 0
+    assert out == graph_payload_text(g.vertices, g.edges, extra)
