@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import fologic, graphs, ilrep, obstruction, perturb, solver, trimatrix
@@ -28,7 +29,35 @@ def _read(path: str) -> str:
 
 
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=False))
+    """Write ``json.dumps(payload, indent=2)`` and a newline to stdout, byte for byte.
+
+    With ``indent`` set, CPython's ``json`` always uses its pure-Python
+    encoder, whose chunk list for a large graph costs more time and memory
+    than the graph.  So the object is written one top-level key at a time.
+    A value is dumped on its own and indented one more level after each
+    newline, which is exact because JSON escapes every newline inside a
+    string.  A ``graphs.Graph`` value stands for that graph's sorted edge
+    list and is written one ``graphs.edge_rows`` row at a time, each vertex
+    name encoded once by the string encoder ``json.dumps`` uses.
+    """
+    out = sys.stdout
+    sep = "{\n  "
+    for key, value in payload.items():
+        out.write(f"{sep}{encode_basestring_ascii(key)}: ")
+        sep = ",\n  "
+        if not isinstance(value, graphs.Graph):
+            out.write(json.dumps(value, indent=2).replace("\n", "\n  "))
+            continue
+        order = sorted(value.vertices)
+        names = list(map(encode_basestring_ascii, order))
+        lead = "[\n    "
+        for name, (_, ranks) in zip(names, graphs.edge_rows(value, order)):
+            if ranks:
+                head = f"[\n      {name},\n      "
+                out.write(lead + head + f"\n    ],\n    {head}".join(map(names.__getitem__, ranks)) + "\n    ]")
+                lead = ",\n    "
+        out.write("\n  ]" if value.edges else "[]")
+    out.write("{}\n" if not payload else "\n}\n")
 
 
 def _parse_pi(text: str) -> tuple[int, ...]:
@@ -53,8 +82,8 @@ def _load_rep(args) -> ilrep.IntervalLikeRep:
 
 
 def _graph_json(g: graphs.Graph) -> dict:
-    order = sorted(g.vertices)
-    return {"vertices": order, "edges": [list(e) for e in graphs.sorted_edges(g, order)]}
+    """The graph payload; ``_emit_json`` writes the ``g`` value as g's sorted edge list."""
+    return {"vertices": sorted(g.vertices), "edges": g}
 
 
 def _solve_json(res) -> dict:
@@ -132,7 +161,27 @@ def _cmd_mixed_minor(args) -> int:
     return 0
 
 
+def _given(args, *names) -> dict:
+    """The options among ``names`` that were given; the others keep the callee's default."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
+def _reject_ignored(args, names, context: str) -> None:
+    """A usage error (exit 2) naming each option in ``names`` that was given."""
+    given = ["-r" if name == "r" else "--" + name.replace("_", "-") for name in _given(args, *names)]
+    if given:
+        args.usage_error(f"{context} does not take {', '.join(given)}")
+
+
 def _cmd_tww(args) -> int:
+    context = "tww exact --matrix" if args.action == "exact" and args.matrix else f"tww {args.action}"
+    ignored = {
+        "tww verify": ("matrix", "symmetric", "cap"),
+        "tww greedy": ("matrix", "symmetric", "cap", "seq", "claim"),
+        "tww exact": ("seq", "claim", "symmetric"),
+        "tww exact --matrix": ("seq", "claim", "graph"),
+    }[context]
+    _reject_ignored(args, ignored, context)
     if args.action == "verify":
         missing = [f"--{name}" for name in ("graph", "seq", "claim") if getattr(args, name) is None]
         if missing:
@@ -142,15 +191,13 @@ def _cmd_tww(args) -> int:
         verified = solver.verify_sequence(g, seq, args.claim)
         _emit_json({"verified": verified})
         return 0
-    # without --cap each solver keeps its own default
-    cap = {} if args.cap is None else {"cap": args.cap}
     if args.action == "exact" and args.matrix:
         m = trimatrix.matrix_from_text(_read(args.matrix))
-        res = trimatrix.matrix_twinwidth_exact(m, symmetric=args.symmetric, **cap)
+        res = trimatrix.matrix_twinwidth_exact(m, **_given(args, "symmetric", "cap"))
     elif args.action == "exact":
         if not args.graph:
             raise DomainError("tww exact needs --graph or --matrix")
-        res = solver.twinwidth_exact(graphs.graph_from_text(_read(args.graph)), **cap)
+        res = solver.twinwidth_exact(graphs.graph_from_text(_read(args.graph)), **_given(args, "cap"))
     else:
         if not args.graph:
             raise DomainError("tww greedy needs --graph")
@@ -188,7 +235,18 @@ def _cmd_extract(args) -> int:
     return 0
 
 
+# the gadget options each generator takes; the others are usage errors
+_GENERATE_TAKES = {
+    "permgraph": (),
+    "exposer": (),
+    "hplus-circle": ("r", "exponent", "cap"),
+    "hplus-interval": ("r", "exponent", "u_power", "cap"),
+}
+
+
 def _cmd_generate(args) -> int:
+    takes = _GENERATE_TAKES[args.what]
+    _reject_ignored(args, [n for n in ("r", "exponent", "u_power", "cap") if n not in takes], f"generate {args.what}")
     word = _parse_pi(args.pi)
     if args.what == "permgraph":
         g = graphs.permutation_graph(word)
@@ -203,14 +261,12 @@ def _cmd_generate(args) -> int:
             "intervals": [[i, l, r] for i, l, r in inst.intervals],
         }
     elif args.what == "hplus-circle":
-        gadget = perturb.build_circle_gadget(word, args.r, exponent=args.exponent, cap=args.cap)
+        gadget = perturb.build_circle_gadget(word, **_given(args, "r", "exponent", "cap"))
         g = gadget.graph
         extra = {"power_permutation": list(gadget.word), "exponent": gadget.orders.exponent}
-    else:  # hplus-interval
-        gadget = perturb.build_interval_gadget(
-            word, args.r, u_power=args.u_power, exponent=args.exponent
-        )
-        inst = gadget.materialize(cap=args.cap)
+    else:  # hplus-interval; --cap bounds the materialized graph, not the lazy gadget
+        gadget = perturb.build_interval_gadget(word, **_given(args, "r", "exponent", "u_power"))
+        inst = gadget.materialize(**_given(args, "cap"))
         g = inst.graph
         extra = {
             "core_vertices": gadget.size,
@@ -316,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("exact", "greedy", "verify"))
     p.add_argument("--graph")
     p.add_argument("--matrix")
-    p.add_argument("--symmetric", action="store_true", help="matrix mode: contract rows and columns together")
+    p.add_argument("--symmetric", action="store_true", default=None, help="matrix mode: contract rows and columns together")
     p.add_argument("--seq", help="verify: contraction sequence file")
     p.add_argument("--claim", type=int, help="verify: claimed width")
     p.add_argument("--cap", type=int, help="exact: size cap (default: the solver's own)")
@@ -333,13 +389,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate graphs and gadgets")
     p.add_argument("what", choices=("permgraph", "exposer", "hplus-circle", "hplus-interval"))
     p.add_argument("--pi", required=True)
-    p.add_argument("-r", type=int, default=0, help="perturbation budget for gadgets")
-    p.add_argument("--exponent", type=int, help="override the power exponent")
-    p.add_argument("--u-power", type=int, default=4, help="interval gadget inner power")
-    p.add_argument("--cap", type=int, default=perturb.DEFAULT_GADGET_CAP)
+    p.add_argument("-r", type=int, help="hplus: perturbation budget (default: the builder's own, 0)")
+    p.add_argument("--exponent", type=int, help="hplus: override the power exponent")
+    p.add_argument("--u-power", type=int, help="hplus-interval: inner power (default: the builder's own, 4)")
+    p.add_argument("--cap", type=int, help=f"hplus: vertex cap (default: the builder's own, {perturb.DEFAULT_GADGET_CAP})")
     p.add_argument("--json", action="store_true")
     p.add_argument("--name", default="g")
-    p.set_defaults(func=_cmd_generate)
+    p.set_defaults(func=_cmd_generate, usage_error=p.error)
 
     p = sub.add_parser("perturb", help="apply a perturbation script to a graph")
     p.add_argument("--graph", required=True)

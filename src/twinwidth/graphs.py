@@ -49,7 +49,9 @@ class Graph:
 
     @staticmethod
     def build(vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> "Graph":
-        return Graph(frozenset(vertices), frozenset(_norm_edge(u, v) for u, v in edges))
+        # a pair tuple already in order is kept, not copied, so it shares its name strings
+        edges = (e if type(e) is tuple and e[0] <= e[1] else _norm_edge(*e) for e in edges)
+        return Graph(frozenset(vertices), frozenset(edges))
 
     @cached_property
     def adjacency(self) -> dict[str, frozenset[str]]:
@@ -205,9 +207,9 @@ def permutation_graph(word: Sequence[int]) -> Graph:
     [('1', '2'), ('1', '4'), ('3', '4')]
     """
     w = check_permutation(word)
-    p = len(w)
-    edges = [(str(i), str(j)) for i, j in itertools.combinations(range(1, p + 1), 2) if w[i - 1] > w[j - 1]]
-    return Graph.build((str(i) for i in range(1, p + 1)), edges)
+    names = [str(i) for i in range(1, len(w) + 1)]
+    edges = [(names[i], names[j]) for i, j in itertools.combinations(range(len(w)), 2) if w[i] > w[j]]
+    return Graph.build(names, edges)
 
 
 def permutation_from_orders(first: Sequence, second: Sequence) -> tuple[int, ...]:
@@ -287,14 +289,14 @@ def is_isomorphic(g: Graph, h: Graph, cap: int = DEFAULT_ISO_CAP) -> bool:
 # text formats
 
 
-def sorted_edges(g: Graph, order: list[str]) -> Iterator[tuple[str, str]]:
-    """The edges of g in ``sorted(g.edges)`` order, given ``order == sorted(g.vertices)``.
+def edge_rows(g: Graph, order: list[str]) -> Iterator[tuple[str, list[int]]]:
+    """Each u of ``order == sorted(g.vertices)`` with the sorted ranks of its later neighbours.
 
     Edges are normalised (u < v), so bucketing each edge under the rank of
-    u and sorting the integer ranks of the v's in each bucket gives the same
-    order as comparing the name tuples, with no string comparison.  Edges
-    are yielded one bucket at a time, so no sorted copy of the edge set is
-    held.
+    u and sorting the integer ranks of the v's in each bucket gives, row
+    after row, the edges in ``sorted(g.edges)`` order, with no string
+    comparison and no sorted copy of the edge set.  Every vertex has a row,
+    possibly empty.
     """
     rank = {v: i for i, v in enumerate(order)}
     later: list[list[int]] = [[] for _ in order]
@@ -302,7 +304,7 @@ def sorted_edges(g: Graph, order: list[str]) -> Iterator[tuple[str, str]]:
         later[rank[u]].append(rank[v])
     for u, ranks in zip(order, later):
         ranks.sort()
-        yield from zip(itertools.repeat(u), map(order.__getitem__, ranks))
+        yield u, ranks
 
 
 def graph_to_text(g: Graph, name: str = "g") -> str:
@@ -310,7 +312,8 @@ def graph_to_text(g: Graph, name: str = "g") -> str:
     order = sorted(g.vertices)
     lines = [f"graph {name} {len(g.vertices)} {len(g.edges)}"]
     lines.extend(f"v {v}" for v in order)
-    lines.extend(f"e {u} {v}" for u, v in sorted_edges(g, order))
+    for u, ranks in edge_rows(g, order):
+        lines.extend(map(f"e {u} ".__add__, map(order.__getitem__, ranks)))
     return "\n".join(lines) + "\n"
 
 

@@ -353,28 +353,19 @@ def generate_exposer(word: Sequence[int]) -> ExposerInstance:
     w = check_permutation(word)
     p = len(w)
     inv = inverse_permutation(w)
-    intervals: list[tuple[str, int, int]] = []
-    core, side1, side2 = [], [], []
-    for m in range(1, p + 1):
-        core.append(f"w{m}")
-        intervals.append((f"w{m}", p - m, 2 * p + inv[m - 1]))
-    for i in range(1, p + 1):
-        side1.append(f"u{i}")
-        intervals.append((f"u{i}", -i, p - i))
-    for i in range(1, p + 1):
-        side2.append(f"v{i}")
-        intervals.append((f"v{i}", 2 * p + inv[i - 1], 3 * p + inv[i - 1]))
+    core = [f"w{m}" for m in range(1, p + 1)]
+    side1 = [f"u{i}" for i in range(1, p + 1)]
+    side2 = [f"v{i}" for i in range(1, p + 1)]
+    intervals = [(core[k], p - 1 - k, 2 * p + inv[k]) for k in range(p)]
+    intervals += [(side1[k], -1 - k, p - 1 - k) for k in range(p)]
+    intervals += [(side2[k], 2 * p + inv[k], 3 * p + inv[k]) for k in range(p)]
 
+    # every pair is built over the three name lists, smaller name first ("u", "v" < "w")
     vertices = core + side1 + side2
-    edges = set()
-    for block in (core, side1, side2):
-        edges.update(itertools.combinations(block, 2))
-    for m in range(1, p + 1):
-        for i in range(1, p + 1):
-            if i <= m:
-                edges.add((f"w{m}", f"u{i}"))
-            if inv[i - 1] <= inv[m - 1]:
-                edges.add((f"w{m}", f"v{i}"))
+    edges = [pair for block in (core, side1, side2) for pair in itertools.combinations(sorted(block), 2)]
+    for k, w_k in enumerate(core):
+        edges += [(u, w_k) for u in side1[:k + 1]]
+        edges += [(v, w_k) for v, inv_v in zip(side2, inv) if inv_v <= inv[k]]
     g = Graph.build(vertices, edges)
     return ExposerInstance(g, tuple(core), tuple(side1), tuple(side2), w, tuple(intervals))
 

@@ -324,7 +324,7 @@ class CircleGadget:
 
 def build_circle_gadget(
     word: Sequence[int],
-    r: int,
+    r: int = 0,
     exponent: int | None = None,
     cap: int = DEFAULT_GADGET_CAP,
 ) -> CircleGadget:
@@ -441,7 +441,7 @@ class IntervalGadget:
 
 def build_interval_gadget(
     word: Sequence[int],
-    r: int,
+    r: int = 0,
     u_power: int = 4,
     exponent: int | None = None,
     cap: int = 2**40,

@@ -519,3 +519,59 @@ def test_generate_json_matches_json_dumps(what, data):
     code, out = run_stdout(argv)
     assert code == 0
     assert out == graph_payload_text(g.vertices, g.edges, extra)
+
+
+DEMO5, DEMO5_SEQ = str(DATA / "demo5.g"), str(DATA / "demo5.seq")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["tww", "greedy", "--graph", DEMO5, "--cap", "1"], "tww greedy does not take --cap"),
+        (["tww", "greedy", "--graph", DEMO5, "--seq", DEMO5_SEQ, "--claim", "2"], "tww greedy does not take --seq, --claim"),
+        (["tww", "exact", "--graph", DEMO5, "--symmetric"], "tww exact does not take --symmetric"),
+        (["tww", "exact", "--graph", DEMO5, "--claim", "0"], "tww exact does not take --claim"),
+        (["tww", "exact", "--graph", DEMO5, "--matrix", str(DATA / "demo6.mat.golden")],
+         "tww exact --matrix does not take --graph"),
+        (["tww", "verify", "--graph", DEMO5, "--seq", DEMO5_SEQ, "--claim", "2", "--cap", "0"],
+         "tww verify does not take --cap"),
+        (["generate", "exposer", "--pi", "1", "--cap", "-1"], "generate exposer does not take --cap"),
+        (["generate", "permgraph", "--pi", "1", "-r", "0", "--exponent", "1", "--u-power", "4"],
+         "generate permgraph does not take -r, --exponent, --u-power"),
+        (["generate", "hplus-circle", "--pi", "1", "--u-power", "4"], "generate hplus-circle does not take --u-power"),
+    ],
+)
+def test_options_the_action_ignores_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    got = capsys.readouterr()
+    assert got.out == "" and message in got.err
+
+
+def test_generate_defaults_are_the_builders(capsys):
+    for what, defaults in (
+        ("hplus-circle", ["-r", "0", "--cap", str(perturb.DEFAULT_GADGET_CAP)]),
+        ("hplus-interval", ["-r", "0", "--u-power", "4", "--cap", str(perturb.DEFAULT_GADGET_CAP)]),
+    ):
+        base = ["generate", what, "--pi", "1"]
+        assert run_cli(capsys, *base) == run_cli(capsys, *base, *defaults)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decode", "--intervals", str(DATA / "demo6.ivl")],
+        ["decode", "--chords", str(DATA / "demo7.chd")],
+        ["perturb", "--graph", str(DATA / "names.g"), "--sets", "10,9,iso"],
+        ["generate", "permgraph", "--pi", "3 1 4 2"],
+        ["generate", "exposer", "--pi", "2 3 1"],
+        ["generate", "hplus-circle", "--pi", "2 1", "-r", "1"],
+        ["generate", "hplus-interval", "--pi", "1", "--u-power", "1", "--exponent", "2"],
+    ],
+    ids=lambda argv: "-".join(argv[:2]),
+)
+def test_graph_json_schema(capsys, argv):
+    code, out = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    jsonschema.validate(json.loads(out), load_schema("graph.schema.json"))
