@@ -235,18 +235,10 @@ def _cmd_extract(args) -> int:
     return 0
 
 
-# the gadget options each generator takes; the others are usage errors
-_GENERATE_TAKES = {
-    "permgraph": (),
-    "exposer": (),
-    "hplus-circle": ("r", "exponent", "cap"),
-    "hplus-interval": ("r", "exponent", "u_power", "cap"),
-}
-
-
 def _cmd_generate(args) -> int:
-    takes = _GENERATE_TAKES[args.what]
-    _reject_ignored(args, [n for n in ("r", "exponent", "u_power", "cap") if n not in takes], f"generate {args.what}")
+    gadget_options = ("r", "exponent", "u_power", "cap")
+    ignored = {"permgraph": gadget_options, "exposer": gadget_options, "hplus-circle": ("u_power",), "hplus-interval": ()}
+    _reject_ignored(args, ignored[args.what], f"generate {args.what}")
     word = _parse_pi(args.pi)
     if args.what == "permgraph":
         g = graphs.permutation_graph(word)
