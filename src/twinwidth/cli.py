@@ -2,7 +2,10 @@
 
 Batch, non-interactive: each invocation runs one command and prints text (or
 JSON with --json) to stdout.  Domain errors, including exceeded caps, exit
-with code 1 and a diagnostic on stderr; usage errors exit with code 2.
+with code 1 and a diagnostic on stderr; usage errors exit with code 2.  Each
+action is a subparser that declares only the options it reads, so the parser
+rejects any other; only rules that depend on another option's value are
+checked by hand.
 
 File formats: graphs ``.g``, intervals ``.ivl``, chord diagrams ``.chd``,
 matrices ``.mat``, formulas ``.fo`` (S-expressions), contraction sequences
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -69,34 +73,38 @@ def _parse_pi(text: str) -> tuple[int, ...]:
 
 
 def _load_rep(args) -> ilrep.IntervalLikeRep:
-    if getattr(args, "intervals", None):
+    if args.intervals:
         intervals = ilrep.intervals_from_text(_read(args.intervals))
         kind = args.kind or ilrep.INTERVAL
         return ilrep.rep_from_intervals(intervals, kind)
-    if getattr(args, "chords", None):
-        rep = ilrep.rep_from_chords(ilrep.chords_from_text(_read(args.chords)))
-        if args.kind and args.kind != ilrep.OVERLAP:
-            raise DomainError("chord diagrams always decode as overlap graphs")
-        return rep
-    raise DomainError("need --intervals or --chords")
+    rep = ilrep.rep_from_chords(ilrep.chords_from_text(_read(args.chords)))
+    if args.kind and args.kind != ilrep.OVERLAP:
+        raise DomainError("chord diagrams always decode as overlap graphs")
+    return rep
 
 
-def _graph_json(g: graphs.Graph) -> dict:
-    """The graph payload; ``_emit_json`` writes the ``g`` value as g's sorted edge list."""
-    return {"vertices": sorted(g.vertices), "edges": g}
+def _emit_graph(args, g: graphs.Graph, extra: dict | None = None) -> None:
+    """The graph payload plus ``extra`` (``_emit_json`` writes g as its sorted edge list), or ``.g`` text."""
+    if args.json:
+        _emit_json({"vertices": sorted(g.vertices), "edges": g, **(extra or {})})
+    else:
+        print(graphs.graph_to_text(g, name=args.name), end="")
 
 
-def _solve_json(res) -> dict:
+def _emit_solve(args, res) -> int:
     if isinstance(res, solver.SolveResult):
         seq = [[s.u, s.v, s.merged] for s in res.sequence]
     else:
         seq = [list(step) for step in res.sequence]
-    return {
-        "value": res.value,
-        "optimal": res.optimal,
-        "sequence": seq,
-        "nodes_explored": res.nodes_explored,
-    }
+    if args.json:
+        _emit_json({"value": res.value, "optimal": res.optimal, "sequence": seq, "nodes_explored": res.nodes_explored})
+    else:
+        print(f"value {res.value}")
+        print(f"optimal {str(res.optimal).lower()}")
+        print(f"nodes_explored {res.nodes_explored}")
+        for step in seq:
+            print("c " + " ".join(str(x) for x in step))
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -104,12 +112,7 @@ def _solve_json(res) -> dict:
 
 
 def _cmd_decode(args) -> int:
-    rep = _load_rep(args)
-    g = ilrep.decode(rep)
-    if args.json:
-        _emit_json(_graph_json(g))
-    else:
-        print(graphs.graph_to_text(g, name=args.name), end="")
+    _emit_graph(args, ilrep.decode(_load_rep(args)))
     return 0
 
 
@@ -168,48 +171,28 @@ def _given(args, *names) -> dict:
 
 def _reject_ignored(args, names, context: str) -> None:
     """A usage error (exit 2) naming each option in ``names`` that was given."""
-    given = ["-r" if name == "r" else "--" + name.replace("_", "-") for name in _given(args, *names)]
+    given = ["--" + name.replace("_", "-") for name in _given(args, *names)]
     if given:
         args.usage_error(f"{context} does not take {', '.join(given)}")
 
 
-def _cmd_tww(args) -> int:
-    context = "tww exact --matrix" if args.action == "exact" and args.matrix else f"tww {args.action}"
-    ignored = {
-        "tww verify": ("matrix", "symmetric", "cap"),
-        "tww greedy": ("matrix", "symmetric", "cap", "seq", "claim"),
-        "tww exact": ("seq", "claim", "symmetric"),
-        "tww exact --matrix": ("seq", "claim", "graph"),
-    }[context]
-    _reject_ignored(args, ignored, context)
-    if args.action == "verify":
-        missing = [f"--{name}" for name in ("graph", "seq", "claim") if getattr(args, name) is None]
-        if missing:
-            args.usage_error(f"verify needs {', '.join(missing)}")
-        g = graphs.graph_from_text(_read(args.graph))
-        seq = graphs.sequence_from_text(_read(args.seq))
-        verified = solver.verify_sequence(g, seq, args.claim)
-        _emit_json({"verified": verified})
-        return 0
-    if args.action == "exact" and args.matrix:
+def _cmd_tww_exact(args) -> int:
+    if args.matrix:
         m = trimatrix.matrix_from_text(_read(args.matrix))
-        res = trimatrix.matrix_twinwidth_exact(m, **_given(args, "symmetric", "cap"))
-    elif args.action == "exact":
-        if not args.graph:
-            raise DomainError("tww exact needs --graph or --matrix")
-        res = solver.twinwidth_exact(graphs.graph_from_text(_read(args.graph)), **_given(args, "cap"))
-    else:
-        if not args.graph:
-            raise DomainError("tww greedy needs --graph")
-        res = solver.twinwidth_greedy(graphs.graph_from_text(_read(args.graph)))
-    if args.json:
-        _emit_json(_solve_json(res))
-    else:
-        print(f"value {res.value}")
-        print(f"optimal {str(res.optimal).lower()}")
-        print(f"nodes_explored {res.nodes_explored}")
-        for step in _solve_json(res)["sequence"]:
-            print("c " + " ".join(str(x) for x in step))
+        return _emit_solve(args, trimatrix.matrix_twinwidth_exact(m, **_given(args, "symmetric", "cap")))
+    if args.symmetric:  # contracting rows and columns together is a matrix option
+        args.usage_error("argument --symmetric: not allowed with argument --graph")
+    return _emit_solve(args, solver.twinwidth_exact(graphs.graph_from_text(_read(args.graph)), **_given(args, "cap")))
+
+
+def _cmd_tww_greedy(args) -> int:
+    return _emit_solve(args, solver.twinwidth_greedy(graphs.graph_from_text(_read(args.graph))))
+
+
+def _cmd_tww_verify(args) -> int:
+    g = graphs.graph_from_text(_read(args.graph))
+    seq = graphs.sequence_from_text(_read(args.seq))
+    _emit_json({"verified": solver.verify_sequence(g, seq, args.claim)})
     return 0
 
 
@@ -236,13 +219,9 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    gadget_options = ("r", "exponent", "u_power", "cap")
-    ignored = {"permgraph": gadget_options, "exposer": gadget_options, "hplus-circle": ("u_power",), "hplus-interval": ()}
-    _reject_ignored(args, ignored[args.what], f"generate {args.what}")
     word = _parse_pi(args.pi)
     if args.what == "permgraph":
-        g = graphs.permutation_graph(word)
-        extra = None
+        g, extra = graphs.permutation_graph(word), None
     elif args.what == "exposer":
         inst = obstruction.generate_exposer(word)
         g = inst.graph
@@ -265,13 +244,7 @@ def _cmd_generate(args) -> int:
             "u_power": gadget.u_power,
             "z_power": gadget.z_power,
         }
-    if args.json:
-        payload = _graph_json(g)
-        if extra:
-            payload.update(extra)
-        _emit_json(payload)
-    else:
-        print(graphs.graph_to_text(g, name=args.name), end="")
+    _emit_graph(args, g, extra)
     return 0
 
 
@@ -283,32 +256,23 @@ def _cmd_perturb(args) -> int:
             part = part.strip()
             if part:
                 script.append([v.strip() for v in part.split(",") if v.strip()])
-    perturbed = perturb.apply_perturbation(g, script)
-    if args.json:
-        _emit_json(_graph_json(perturbed))
-    else:
-        print(graphs.graph_to_text(perturbed, name=args.name), end="")
+    _emit_graph(args, perturb.apply_perturbation(g, script))
     return 0
 
 
 def _cmd_robustness(args) -> int:
+    if args.case == "circle":
+        _reject_ignored(args, ("u_power",), "robustness --case circle")
+        build, verify = perturb.build_circle_gadget, perturb.verify_robustness_circle
+    else:
+        build, verify = perturb.build_interval_gadget, perturb.verify_robustness_interval
+    _reject_ignored(args, ("budget",) if args.mode == "sampled" else ("samples",), f"robustness --mode {args.mode}")
     word = _parse_pi(args.pi)
     if args.mode == "sampled" and args.seed is None:
         raise DomainError("sampled mode needs --seed for reproducibility")
-    # without --cap each builder keeps its own default
-    cap = {} if args.cap is None else {"cap": args.cap}
-    if args.case == "circle":
-        gadget = perturb.build_circle_gadget(word, args.r, exponent=args.exponent, **cap)
-        report = perturb.verify_robustness_circle(
-            gadget, mode=args.mode, samples=args.samples, seed=args.seed, budget=args.budget
-        )
-    else:
-        gadget = perturb.build_interval_gadget(
-            word, args.r, u_power=args.u_power, exponent=args.exponent, **cap
-        )
-        report = perturb.verify_robustness_interval(
-            gadget, mode=args.mode, samples=args.samples, seed=args.seed, budget=args.budget
-        )
+    # an option left out keeps the builder's or verifier's own default
+    gadget = build(word, args.r, **_given(args, "exponent", "u_power", "cap"))
+    report = verify(gadget, mode=args.mode, seed=args.seed, **_given(args, "samples", "budget"))
     _emit_json(report.to_json())
     return 0 if not report.failures else 1
 
@@ -329,9 +293,16 @@ def _cmd_fo_check(args) -> int:
 
 
 def _add_rep_inputs(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--intervals", help="interval file (.ivl)")
-    p.add_argument("--chords", help="chord diagram file (.chd)")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--intervals", help="interval file (.ivl)")
+    source.add_argument("--chords", help="chord diagram file (.chd)")
     p.add_argument("--kind", choices=ilrep.KINDS, help="decoding kind (default: interval for .ivl, overlap for .chd)")
+
+
+def _add_graph_output(p: argparse.ArgumentParser) -> None:
+    output = p.add_mutually_exclusive_group()
+    output.add_argument("--json", action="store_true")
+    output.add_argument("--name", default="g", help="graph name in the .g text")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -340,8 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decode", help="decode a representation into a graph")
     _add_rep_inputs(p)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--name", default="g")
+    _add_graph_output(p)
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("ilmatrix", help="emit the representation matrix")
@@ -361,15 +331,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mixed_minor)
 
     p = sub.add_parser("tww", help="twin-width: exact, greedy, or verify a sequence")
-    p.add_argument("action", choices=("exact", "greedy", "verify"))
-    p.add_argument("--graph")
-    p.add_argument("--matrix")
-    p.add_argument("--symmetric", action="store_true", default=None, help="matrix mode: contract rows and columns together")
-    p.add_argument("--seq", help="verify: contraction sequence file")
-    p.add_argument("--claim", type=int, help="verify: claimed width")
-    p.add_argument("--cap", type=int, help="exact: size cap (default: the solver's own)")
+    tww = p.add_subparsers(dest="action", required=True)
+    p = tww.add_parser("exact", help="exact twin-width of a graph or a matrix, with a sequence")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--graph")
+    source.add_argument("--matrix")
+    p.add_argument("--symmetric", action="store_true", default=None, help="matrix: contract rows and columns together")
+    p.add_argument("--cap", type=int, help="size cap (default: the solver's own)")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_tww, usage_error=p.error)
+    p.set_defaults(func=_cmd_tww_exact, usage_error=p.error)
+    p = tww.add_parser("greedy", help="greedy upper bound, with a sequence")
+    p.add_argument("--graph", required=True)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=_cmd_tww_greedy)
+    p = tww.add_parser("verify", help="check a contraction sequence and its width (JSON)")
+    p.add_argument("--graph", required=True)
+    p.add_argument("--seq", required=True, help="contraction sequence file")
+    p.add_argument("--claim", type=int, required=True, help="claimed width")
+    p.set_defaults(func=_cmd_tww_verify)
 
     p = sub.add_parser("extract", help="extract an obstruction certificate")
     p.add_argument("what", choices=("perm-submatrix", "circle-witness", "exposure"))
@@ -379,21 +358,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("generate", help="generate graphs and gadgets")
-    p.add_argument("what", choices=("permgraph", "exposer", "hplus-circle", "hplus-interval"))
-    p.add_argument("--pi", required=True)
-    p.add_argument("-r", type=int, help="hplus: perturbation budget (default: the builder's own, 0)")
-    p.add_argument("--exponent", type=int, help="hplus: override the power exponent")
-    p.add_argument("--u-power", type=int, help="hplus-interval: inner power (default: the builder's own, 4)")
-    p.add_argument("--cap", type=int, help=f"hplus: vertex cap (default: the builder's own, {perturb.DEFAULT_GADGET_CAP})")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--name", default="g")
-    p.set_defaults(func=_cmd_generate, usage_error=p.error)
+    generate = p.add_subparsers(dest="what", required=True)
+    for what in ("permgraph", "exposer", "hplus-circle", "hplus-interval"):
+        p = generate.add_parser(what)
+        p.add_argument("--pi", required=True)
+        _add_graph_output(p)
+        if what.startswith("hplus"):
+            p.add_argument("-r", type=int, help="perturbation budget (default: the builder's own, 0)")
+            p.add_argument("--exponent", type=int, help="override the power exponent")
+            p.add_argument("--cap", type=int, help=f"vertex cap (default: the builder's own, {perturb.DEFAULT_GADGET_CAP})")
+        if what == "hplus-interval":
+            p.add_argument("--u-power", type=int, help="inner power (default: the builder's own, 4)")
+        p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("perturb", help="apply a perturbation script to a graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--sets", default="", help='subsets, e.g. "a,b,c;b,d"')
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--name", default="g")
+    _add_graph_output(p)
     p.set_defaults(func=_cmd_perturb)
 
     p = sub.add_parser("robustness", help="verify gadget robustness under perturbations")
@@ -401,13 +382,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pi", required=True)
     p.add_argument("-r", type=int, required=True)
     p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=int, help="sampled: scripts drawn (default: the verifier's own, 1000)")
     p.add_argument("--seed", type=int)
     p.add_argument("--exponent", type=int)
-    p.add_argument("--u-power", type=int, default=4)
+    p.add_argument("--u-power", type=int, help="interval: inner power (default: the builder's own, 4)")
     p.add_argument("--cap", type=int, help="gadget size cap (default: the builder's own)")
-    p.add_argument("--budget", type=int, default=1 << 20)
-    p.set_defaults(func=_cmd_robustness)
+    p.add_argument("--budget", type=int, help="exhaustive: script budget (default: the verifier's own, 2^20)")
+    p.set_defaults(func=_cmd_robustness, usage_error=p.error)
 
     p = sub.add_parser("fo-check", help="first-order model checking on a representation")
     _add_rep_inputs(p)
@@ -429,7 +410,15 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered to devnull, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: output pipe closed", file=sys.stderr)
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -225,14 +225,6 @@ def verify_sequence(g: Graph, seq: tuple[ContractionStep, ...], claimed: int) ->
 # ordering search for mixed-minor-freeness
 
 
-@dataclass(frozen=True)
-class OrderingSearchResult:
-    # row/col key orders certifying k-mixed-minor freeness, or None
-    ordering: tuple[tuple[str, ...], tuple[str, ...]] | None
-    # True when a None result is a proof (all orderings were tried)
-    exhaustive: bool
-
-
 def _similarity_order(lines: list[tuple[int, ...]]) -> list[int]:
     """Nearest-neighbour chaining by Hamming distance, starting from index 0."""
     remaining = set(range(len(lines)))
@@ -249,12 +241,15 @@ def _similarity_order(lines: list[tuple[int, ...]]) -> list[int]:
     return order
 
 
-def ordering_without_mixed_minor(m: TriMatrix, k: int, cap: int = DEFAULT_ORDERING_CAP) -> OrderingSearchResult:
-    """Look for a row/column ordering of m without a k-mixed minor.
+def ordering_without_mixed_minor(
+    m: TriMatrix, k: int, cap: int = DEFAULT_ORDERING_CAP
+) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
+    """The row and column key orders of an ordering of m without a k-mixed minor, or None.
 
     The native ordering is tried first, then lexicographic and
-    similarity-based sortings, then every ordering; a ``None`` ordering is
-    therefore a proof.  Enumeration past ``cap`` per axis raises CapExceeded.
+    similarity-based sortings, then every ordering; ``None`` is therefore a
+    proof that no such ordering exists.  Enumeration past ``cap`` per axis
+    raises CapExceeded.
     """
     nr, nc = m.shape()
 
@@ -271,7 +266,7 @@ def ordering_without_mixed_minor(m: TriMatrix, k: int, cap: int = DEFAULT_ORDERI
     for ro, co in candidates:
         if check(ro, co):
             ordered = m.permuted(ro, co)
-            return OrderingSearchResult((ordered.row_keys, ordered.col_keys), False)
+            return ordered.row_keys, ordered.col_keys
 
     if nr > cap or nc > cap:
         raise CapExceeded(f"ordering search cap {cap} exceeded ({nr}x{nc})")
@@ -279,5 +274,5 @@ def ordering_without_mixed_minor(m: TriMatrix, k: int, cap: int = DEFAULT_ORDERI
         for co in itertools.permutations(range(nc)):
             if check(ro, co):
                 ordered = m.permuted(ro, co)
-                return OrderingSearchResult((ordered.row_keys, ordered.col_keys), False)
-    return OrderingSearchResult(None, True)
+                return ordered.row_keys, ordered.col_keys
+    return None

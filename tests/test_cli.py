@@ -397,7 +397,8 @@ def test_tww_verify_needs_all_inputs(capsys, drop):
     with pytest.raises(SystemExit) as exc:
         run(["tww", "verify", *(x for pair in inputs.items() for x in pair)])
     assert exc.value.code == 2
-    assert f"verify needs {drop}" in capsys.readouterr().err
+    got = capsys.readouterr()
+    assert got.out == "" and f"the following arguments are required: {drop}" in got.err
 
 
 def test_console_script_entrypoint():
@@ -408,6 +409,18 @@ def test_console_script_entrypoint():
     )
     assert proc.returncode == 0
     assert "e 1 2" in proc.stdout
+
+
+def test_closed_output_pipe_is_one_error_line():
+    # 6.4 MB of JSON: the writer blocks on the full pipe until the reader closes it
+    argv = [sys.executable, "-m", "twinwidth.cli", "generate", "hplus-interval", "--pi", "1", "--json"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+    assert err == "error: output pipe closed\n"
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 # sha256 of `generate hplus-interval --pi 1 --json` (768 vertices, 163 712 edges)
@@ -524,21 +537,44 @@ def test_generate_json_matches_json_dumps(what, data):
 DEMO5, DEMO5_SEQ = str(DATA / "demo5.g"), str(DATA / "demo5.seq")
 
 
+ROBUSTNESS = ["robustness", "--case", "circle", "--pi", "1", "-r", "0"]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["tww", "greedy", "--graph", DEMO5, "--cap", "1"], "tww greedy does not take --cap"),
-        (["tww", "greedy", "--graph", DEMO5, "--seq", DEMO5_SEQ, "--claim", "2"], "tww greedy does not take --seq, --claim"),
-        (["tww", "exact", "--graph", DEMO5, "--symmetric"], "tww exact does not take --symmetric"),
-        (["tww", "exact", "--graph", DEMO5, "--claim", "0"], "tww exact does not take --claim"),
-        (["tww", "exact", "--graph", DEMO5, "--matrix", str(DATA / "demo6.mat.golden")],
-         "tww exact --matrix does not take --graph"),
-        (["tww", "verify", "--graph", DEMO5, "--seq", DEMO5_SEQ, "--claim", "2", "--cap", "0"],
-         "tww verify does not take --cap"),
-        (["generate", "exposer", "--pi", "1", "--cap", "-1"], "generate exposer does not take --cap"),
-        (["generate", "permgraph", "--pi", "1", "-r", "0", "--exponent", "1", "--u-power", "4"],
-         "generate permgraph does not take -r, --exponent, --u-power"),
-        (["generate", "hplus-circle", "--pi", "1", "--u-power", "4"], "generate hplus-circle does not take --u-power"),
+        # each id names the rule its case checks; the message is argparse's own
+        pytest.param(["tww", "greedy", "--graph", DEMO5, "--cap", "1"], "unrecognized arguments: --cap 1",
+                     id="argv0-tww greedy does not take --cap"),
+        pytest.param(["tww", "greedy", "--graph", DEMO5, "--seq", DEMO5_SEQ, "--claim", "2"],
+                     f"unrecognized arguments: --seq {DEMO5_SEQ} --claim 2", id="argv1-tww greedy does not take --seq, --claim"),
+        pytest.param(["tww", "exact", "--graph", DEMO5, "--symmetric"], "argument --symmetric: not allowed with argument --graph",
+                     id="argv2-tww exact does not take --symmetric"),
+        pytest.param(["tww", "exact", "--graph", DEMO5, "--claim", "0"], "unrecognized arguments: --claim 0",
+                     id="argv3-tww exact does not take --claim"),
+        pytest.param(["tww", "exact", "--graph", DEMO5, "--matrix", str(DATA / "demo6.mat.golden")],
+                     "argument --matrix: not allowed with argument --graph", id="argv4-tww exact --matrix does not take --graph"),
+        pytest.param(["tww", "verify", "--graph", DEMO5, "--seq", DEMO5_SEQ, "--claim", "2", "--cap", "0"],
+                     "unrecognized arguments: --cap 0", id="argv5-tww verify does not take --cap"),
+        pytest.param(["generate", "exposer", "--pi", "1", "--cap", "-1"], "unrecognized arguments: --cap -1",
+                     id="argv6-generate exposer does not take --cap"),
+        pytest.param(["generate", "permgraph", "--pi", "1", "-r", "0", "--exponent", "1", "--u-power", "4"],
+                     "unrecognized arguments: -r 0 --exponent 1 --u-power 4",
+                     id="argv7-generate permgraph does not take -r, --exponent, --u-power"),
+        pytest.param(["generate", "hplus-circle", "--pi", "1", "--u-power", "4"], "unrecognized arguments: --u-power 4",
+                     id="argv8-generate hplus-circle does not take --u-power"),
+        ([*ROBUSTNESS, "--u-power", "9"], "robustness --case circle does not take --u-power"),
+        ([*ROBUSTNESS, "--mode", "exhaustive", "--samples", "5"], "robustness --mode exhaustive does not take --samples"),
+        ([*ROBUSTNESS, "--mode", "sampled", "--seed", "1", "--budget", "5"],
+         "robustness --mode sampled does not take --budget"),
+        (["decode", "--intervals", str(DATA / "demo6.ivl"), "--json", "--name", "x"],
+         "argument --name: not allowed with argument --json"),
+        (["decode", "--intervals", str(DATA / "demo6.ivl"), "--chords", str(DATA / "demo7.chd")],
+         "argument --chords: not allowed with argument --intervals"),
+        (["tww", "verify", "--graph", DEMO5, "--seq", DEMO5_SEQ, "--claim", "2", "--json"],
+         "unrecognized arguments: --json"),
+        (["tww", "greedy"], "the following arguments are required: --graph"),
+        (["decode"], "one of the arguments --intervals --chords is required"),
     ],
 )
 def test_options_the_action_ignores_are_usage_errors(capsys, argv, message):

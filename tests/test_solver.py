@@ -255,21 +255,19 @@ def test_graph_vs_matrix_within_one():
 
 def test_ordering_search_examples():
     zeros = TriMatrix.build([f"r{i}" for i in range(3)], [f"c{j}" for j in range(3)], [[0] * 3] * 3)
-    res = ordering_without_mixed_minor(zeros, 2)
-    assert res.ordering == (zeros.row_keys, zeros.col_keys)
+    assert ordering_without_mixed_minor(zeros, 2) == (zeros.row_keys, zeros.col_keys)
 
     rep = rep_from_intervals([("x", 0, 2), ("y", 1, 3), ("z", 2, 4)], INTERVAL)
     m = build_ilmatrix(rep).matrix
-    res = ordering_without_mixed_minor(m, 3)
     # the native ordering has no 3-mixed minor here, so it is returned as-is
-    assert res.ordering == (m.row_keys, m.col_keys)
+    assert ordering_without_mixed_minor(m, 3) == (m.row_keys, m.col_keys)
     assert find_mixed_minor(m, 3) is None
 
 
 def test_ordering_search_none_is_a_proof():
     # every ordering of a 2x2 permutation matrix is one mixed zone
     m = TriMatrix.build(["r0", "r1"], ["c0", "c1"], [[0, 1], [1, 0]])
-    assert ordering_without_mixed_minor(m, 1) == solver.OrderingSearchResult(None, True)
+    assert ordering_without_mixed_minor(m, 1) is None
     # the heuristic orders fail, and enumeration past the cap is refused
     with pytest.raises(CapExceeded, match=r"ordering search cap 1 exceeded \(2x2\)"):
         ordering_without_mixed_minor(m, 1, cap=1)
@@ -283,10 +281,9 @@ def test_ordering_search_exhaustive_verdict():
         [[rng.choice((0, 1)) for _ in range(5)] for _ in range(5)],
     )
     res = ordering_without_mixed_minor(m, 2)
-    if res.ordering is None:
-        assert res.exhaustive
-    else:
-        rows, cols = res.ordering
+    # None is a proof by the return type; an ordering must be free of the minor
+    if res is not None:
+        rows, cols = res
         reordered = m.permuted(
             [m.row_keys.index(k) for k in rows], [m.col_keys.index(k) for k in cols]
         )
