@@ -4,7 +4,9 @@ import random
 from functools import partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from twinwidth.cli import run
 from twinwidth.errors import BudgetExceeded, DomainError, FormatError
 from twinwidth.fologic import (
     MAX_FORMULA_DEPTH,
@@ -14,6 +16,7 @@ from twinwidth.fologic import (
     Exists,
     FalseF,
     Forall,
+    Formula,
     Implies,
     Not,
     Or,
@@ -222,6 +225,97 @@ def test_parse_and_print():
         evaluate(graph_structure(path_graph("ab")), parse_formula("(edge x y)"))
 
 
+@pytest.mark.parametrize(
+    "f, text",
+    [
+        (TrueF(), "true"),
+        (FalseF(), "false"),
+        (Atom("r", ()), "(r )"),
+        (Atom("p", ("x",)), "(p x)"),
+        (Atom("edge", ("x", "y")), "(edge x y)"),
+        (Eq("x", "y"), "(= x y)"),
+        (Not(TrueF()), "(not true)"),
+        (And(()), "(and )"),
+        (Or(()), "(or )"),
+        (And((TrueF(), FalseF())), "(and true false)"),
+        (Or((FalseF(),)), "(or false)"),
+        (Implies(TrueF(), FalseF()), "(imp true false)"),
+        (Exists("x", TrueF()), "(exists x true)"),
+        (Forall("y", Not(FalseF())), "(forall y (not false))"),
+    ],
+)
+def test_printer_bytes(f, text):
+    assert formula_to_text(f) == text
+
+
+def test_unknown_formula_node_is_a_domain_error():
+    class Unknown(Formula):
+        pass
+
+    for f in (Unknown(), Not(Unknown()), And((TrueF(), Unknown()))):
+        with pytest.raises(DomainError, match="^unknown formula node"):
+            formula_to_text(f)
+
+
+PARSE_ERRORS = [
+    ("", "unexpected end of formula"),
+    (")", "unexpected ')'"),
+    ("(exists x", "missing ')'"),
+    ("true false", "trailing input after the formula"),
+    ("x", "bare symbol 'x' is not a formula"),
+    ("()", "bad form: []"),
+    ("((edge x y) x)", "bad form: [['edge', 'x', 'y'], 'x']"),
+    ("(exists x)", "exists needs a variable and a body"),
+    ("(forall (x) true)", "forall needs a variable and a body"),
+    ("(not)", "not takes one argument"),
+    ("(not true false)", "not takes one argument"),
+    ("(imp true)", "imp takes two arguments"),
+    ("(-> true false true)", "imp takes two arguments"),
+    ("(= x)", "= takes two variables"),
+    ("(= x (y))", "= takes two variables"),
+    ("(edge x (y))", "relation arguments must be variables: ['edge', 'x', ['y']]"),
+]
+
+
+@pytest.mark.parametrize("text, message", PARSE_ERRORS)
+def test_parse_error_messages(capsys, tmp_path, text, message):
+    with pytest.raises(FormatError) as exc:
+        parse_formula(text)
+    assert str(exc.value) == message
+    path = tmp_path / "f.fo"
+    path.write_text(text + "\n")
+    for extra in ([], ["--direct"]):
+        assert run(["fo-check", "--intervals", str(DATA / "demo6.ivl"), "--formula", str(path), *extra]) == 1
+        got = capsys.readouterr()
+        assert got.out == "" and got.err == f"error: {message}\n"
+
+
+KEYWORDS = {"true", "false", "exists", "forall", "not", "and", "or", "imp"}
+NAMES = st.from_regex(r"[a-z][a-z0-9_]{0,4}", fullmatch=True).filter(lambda s: s not in KEYWORDS)
+FORMULAS = st.recursive(
+    st.one_of(
+        st.sampled_from((TrueF(), FalseF())),
+        st.builds(Atom, NAMES, st.lists(NAMES, max_size=3).map(tuple)),
+        st.builds(Eq, NAMES, NAMES),
+    ),
+    lambda kids: st.one_of(
+        st.builds(Not, kids),
+        st.builds(And, st.lists(kids, max_size=3).map(tuple)),
+        st.builds(Or, st.lists(kids, max_size=3).map(tuple)),
+        st.builds(Implies, kids, kids),
+        st.builds(Exists, NAMES, kids),
+        st.builds(Forall, NAMES, kids),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(FORMULAS)
+def test_print_parse_round_trip(f):
+    assert parse_formula(formula_to_text(f)) == f
+
+
 def test_evaluate_budget():
     g = complete_graph("abcdefgh")
     with pytest.raises(BudgetExceeded):
@@ -309,6 +403,23 @@ def test_rewrite_equivalence_random():
         lhs = evaluate(graph_structure(decode(rep)), f)
         rhs = evaluate(matrix_structure(build_ilmatrix(rep)), rewrite(interpretation_for(kind), f))
         assert lhs == rhs
+
+
+REWRITE_SENTENCES = (
+    "(exists x (exists y (edge x y)))",
+    "(forall x (imp (not (= x x)) (or false (and))))",
+    "(exists x (forall x (and (or) true (-> (edge x x) (not (or (edge x x) (= x x)))))))",
+)
+
+
+def test_rewrite_golden():
+    # the exact rewritten trees, fresh bound names _q0, _q1, ... included
+    got = "".join(
+        f"{kind} {text}\n{formula_to_text(rewrite(interpretation_for(kind), parse_formula(text)))}\n"
+        for kind in (INTERVAL, OVERLAP)
+        for text in REWRITE_SENTENCES
+    )
+    assert got == (DATA / "golden" / "fo-rewrite.txt").read_text()
 
 
 def test_transduce_permutation_examples():
