@@ -88,7 +88,7 @@ def _emit_graph(args, g: graphs.Graph, extra: dict | None = None) -> None:
     if args.json:
         _emit_json({"vertices": sorted(g.vertices), "edges": g, **(extra or {})})
     else:
-        print(graphs.graph_to_text(g, name=args.name), end="")
+        print(graphs.graph_to_text(g, **_given(args, "name")), end="")
 
 
 def _emit_solve(args, res) -> int:
@@ -202,9 +202,9 @@ def _cmd_extract(args) -> int:
     if args.what == "perm-submatrix":
         witness = obstruction.extract_perm_submatrix(ilrep.build_ilmatrix(rep), word)
     elif args.what == "circle-witness":
-        witness = obstruction.circle_permutation_witness(ilrep.decode(rep), rep, word)
+        witness = obstruction.circle_permutation_witness(rep, word)
     else:
-        witness = obstruction.interval_exposure_witness(ilrep.decode(rep), rep, word)
+        witness = obstruction.interval_exposure_witness(rep, word)
     payload = witness.to_json()
     if args.json:
         _emit_json(payload)
@@ -302,7 +302,7 @@ def _add_rep_inputs(p: argparse.ArgumentParser) -> None:
 def _add_graph_output(p: argparse.ArgumentParser) -> None:
     output = p.add_mutually_exclusive_group()
     output.add_argument("--json", action="store_true")
-    output.add_argument("--name", default="g", help="graph name in the .g text")
+    output.add_argument("--name", help="graph name in the .g text (default: g)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,8 +14,15 @@ of memoizing every subformula.
 Interpretations rewrite formulas instead of structures where needed: a graph
 formula is translated onto a representation matrix structure (domain rows
 and columns, relations A1/A2 marking the 1- and 2-entries) so that both
-evaluations agree.  The text syntax is a small S-expression grammar, e.g.
-``(exists x (exists y (edge x y)))``.
+evaluations agree; ``interpretation_for`` builds the interval and the
+overlap interpretation, which differ by one conjunct.  The text syntax is a
+small S-expression grammar, e.g. ``(exists x (exists y (edge x y)))``.
+
+Each formula rule is stated once: ``_children`` lists a node's children,
+``_with_children`` rebuilds a connective or quantifier over new ones, and
+``_HEADS`` names its S-expression head for both the parser and the printer.
+Substitution and rewriting handle only the nodes they change and rebuild
+the rest through ``_with_children``.
 """
 
 from __future__ import annotations
@@ -28,8 +35,9 @@ from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded, DomainError, FormatError
 from .graphs import Graph, permutation_from_orders
-from .ilrep import IlMatrix, IntervalLikeRep, INTERVAL, OVERLAP, build_ilmatrix, condense, decode
-from .trimatrix import TriMatrix
+from .ilrep import (
+    INTERVAL, OVERLAP, IlMatrix, IntervalLikeRep, build_ilmatrix, condense, decode, recognize_interval, rep_from_intervals
+)
 
 DEFAULT_EVAL_BUDGET = 10_000_000
 # Parsing, rewriting, compiling and evaluating recurse on nesting.  On the
@@ -138,6 +146,23 @@ def _children(f: Formula) -> tuple[Formula, ...]:
     raise DomainError(f"unknown formula node {f!r}")
 
 
+def _with_children(f: Formula, kids: list[Formula]) -> Formula:
+    """The connective or quantifier ``f`` over new children, in ``_children`` order; a leaf as it is."""
+    if isinstance(f, (And, Or)):
+        return type(f)(tuple(kids))
+    if isinstance(f, (Not, Implies)):
+        return type(f)(*kids)
+    if isinstance(f, (Exists, Forall)):
+        return type(f)(f.var, *kids)
+    return f
+
+
+# The S-expression head of each connective and quantifier; the parser also reads ``->`` as ``imp``.
+_HEADS = {Not: "not", And: "and", Or: "or", Implies: "imp", Exists: "exists", Forall: "forall"}
+_CLASSES = {head: cls for cls, head in _HEADS.items()} | {"->": Implies}
+_ARITY = {Not: (1, "one argument"), Implies: (2, "two arguments")}
+
+
 def _tokenize(text: str) -> list[str]:
     return text.replace("(", " ( ").replace(")", " ) ").split()
 
@@ -172,23 +197,18 @@ def _build(expr) -> Formula:
     if not expr or not isinstance(expr[0], str):
         raise FormatError(f"bad form: {expr!r}")
     head, rest = expr[0], expr[1:]
-    if head in ("exists", "forall"):
+    cls = _CLASSES.get(head)
+    if cls in (Exists, Forall):
         if len(rest) != 2 or not isinstance(rest[0], str):
             raise FormatError(f"{head} needs a variable and a body")
-        cls = Exists if head == "exists" else Forall
         return cls(rest[0], _build(rest[1]))
-    if head == "not":
-        if len(rest) != 1:
-            raise FormatError("not takes one argument")
-        return Not(_build(rest[0]))
-    if head == "and":
-        return And(tuple(_build(e) for e in rest))
-    if head == "or":
-        return Or(tuple(_build(e) for e in rest))
-    if head in ("imp", "->"):
-        if len(rest) != 2:
-            raise FormatError("imp takes two arguments")
-        return Implies(_build(rest[0]), _build(rest[1]))
+    if cls in (And, Or):
+        return cls(tuple(map(_build, rest)))
+    if cls is not None:
+        arity, words = _ARITY[cls]
+        if len(rest) != arity:
+            raise FormatError(f"{_HEADS[cls]} takes {words}")
+        return cls(*map(_build, rest))
     if head == "=":
         if len(rest) != 2 or not all(isinstance(a, str) for a in rest):
             raise FormatError("= takes two variables")
@@ -207,27 +227,15 @@ def parse_formula(text: str) -> Formula:
 
 
 def formula_to_text(f: Formula) -> str:
-    if isinstance(f, TrueF):
-        return "true"
-    if isinstance(f, FalseF):
-        return "false"
+    kids = _children(f)  # first, so an unknown node is a DomainError
+    if isinstance(f, (TrueF, FalseF)):
+        return "true" if isinstance(f, TrueF) else "false"
     if isinstance(f, Atom):
         return f"({f.rel} {' '.join(f.args)})"
     if isinstance(f, Eq):
         return f"(= {f.left} {f.right})"
-    if isinstance(f, Not):
-        return f"(not {formula_to_text(f.body)})"
-    if isinstance(f, And):
-        return f"(and {' '.join(formula_to_text(p) for p in f.parts)})"
-    if isinstance(f, Or):
-        return f"(or {' '.join(formula_to_text(p) for p in f.parts)})"
-    if isinstance(f, Implies):
-        return f"(imp {formula_to_text(f.left)} {formula_to_text(f.right)})"
-    if isinstance(f, Exists):
-        return f"(exists {f.var} {formula_to_text(f.body)})"
-    if isinstance(f, Forall):
-        return f"(forall {f.var} {formula_to_text(f.body)})"
-    raise DomainError(f"unknown formula node {f!r}")
+    head = f"{_HEADS[type(f)]} {f.var}" if isinstance(f, (Exists, Forall)) else _HEADS[type(f)]
+    return f"({head} {' '.join(map(formula_to_text, kids))})"
 
 
 def quantifier_depth(f: Formula) -> int:
@@ -263,9 +271,10 @@ def graph_structure(g: Graph, marks: dict[str, Iterable[str]] | None = None) -> 
     return Structure(tuple(sorted(g.vertices)), {"edge": sym}, mk)
 
 
-def matrix_structure(m: TriMatrix | IlMatrix) -> Structure:
-    mat = m.matrix if isinstance(m, IlMatrix) else m
-    dom = tuple(mat.row_keys) + tuple(k for k in mat.col_keys if k not in set(mat.row_keys))
+def matrix_structure(m: IlMatrix) -> Structure:
+    mat = m.matrix
+    rows = set(mat.row_keys)
+    dom = tuple(mat.row_keys) + tuple(k for k in mat.col_keys if k not in rows)
     a1, a2 = set(), set()
     for rk, row in zip(mat.row_keys, mat.rows):
         for ck, v in zip(mat.col_keys, row):
@@ -445,27 +454,14 @@ class Interpretation:
 
 def _subst(f: Formula, mapping: dict[str, str], fresh: itertools.count) -> Formula:
     """Rename via mapping; bound variables are freshened to avoid capture."""
-    if isinstance(f, (TrueF, FalseF)):
-        return f
     if isinstance(f, Atom):
         return Atom(f.rel, tuple(mapping.get(a, a) for a in f.args))
     if isinstance(f, Eq):
         return Eq(mapping.get(f.left, f.left), mapping.get(f.right, f.right))
-    if isinstance(f, Not):
-        return Not(_subst(f.body, mapping, fresh))
-    if isinstance(f, And):
-        return And(tuple(_subst(p, mapping, fresh) for p in f.parts))
-    if isinstance(f, Or):
-        return Or(tuple(_subst(p, mapping, fresh) for p in f.parts))
-    if isinstance(f, Implies):
-        return Implies(_subst(f.left, mapping, fresh), _subst(f.right, mapping, fresh))
     if isinstance(f, (Exists, Forall)):
         new = f"_q{next(fresh)}"
-        inner = dict(mapping)
-        inner[f.var] = new
-        cls = Exists if isinstance(f, Exists) else Forall
-        return cls(new, _subst(f.body, inner, fresh))
-    raise DomainError(f"unknown formula node {f!r}")
+        return type(f)(new, _subst(f.body, {**mapping, f.var: new}, fresh))
+    return _with_children(f, [_subst(c, mapping, fresh) for c in _children(f)])
 
 
 def interpret(iota: Interpretation, st: Structure, budget: int = DEFAULT_EVAL_BUDGET) -> Structure:
@@ -484,10 +480,6 @@ def interpret(iota: Interpretation, st: Structure, budget: int = DEFAULT_EVAL_BU
         for name, holds in zip(iota.relations, defs)
     }
     return Structure(tuple(dom), rels, {})
-
-
-def _domain_formula() -> tuple[str, Formula]:
-    return "x", Exists("c", Atom("A1", ("x", "c")))
 
 
 def _core_formula(x: str, y: str) -> Formula:
@@ -517,39 +509,21 @@ def _second_end_before(x: str, y: str) -> Formula:
     )
 
 
-def interval_interpretation() -> Interpretation:
-    var, dom = _domain_formula()
-    edge = And(
-        (
-            Not(Eq("x", "y")),
-            Or((_core_formula("x", "y"), _core_formula("y", "x"))),
-        )
-    )
-    return Interpretation(var, dom, {"edge": (("x", "y"), edge)})
-
-
-def overlap_interpretation() -> Interpretation:
-    var, dom = _domain_formula()
-    edge = And(
-        (
-            Not(Eq("x", "y")),
-            Or(
-                (
-                    And((_core_formula("x", "y"), _second_end_before("x", "y"))),
-                    And((_core_formula("y", "x"), _second_end_before("y", "x"))),
-                )
-            ),
-        )
-    )
-    return Interpretation(var, dom, {"edge": (("x", "y"), edge)})
-
-
 def interpretation_for(kind: str) -> Interpretation:
-    if kind == INTERVAL:
-        return interval_interpretation()
-    if kind == OVERLAP:
-        return overlap_interpretation()
-    raise DomainError(f"unknown kind {kind!r}")
+    """The graph decoded from a ``kind`` representation, read off its representation matrix.
+
+    The domain is the rows with a 1-entry.  Two rows are adjacent when the
+    second starts inside the first; for overlap, it also ends after the first.
+    """
+    if kind not in (INTERVAL, OVERLAP):
+        raise DomainError(f"unknown kind {kind!r}")
+
+    def before(x: str, y: str) -> Formula:
+        core = _core_formula(x, y)
+        return core if kind == INTERVAL else And((core, _second_end_before(x, y)))
+
+    edge = And((Not(Eq("x", "y")), Or((before("x", "y"), before("y", "x")))))
+    return Interpretation("x", Exists("c", Atom("A1", ("x", "c"))), {"edge": (("x", "y"), edge)})
 
 
 def rewrite(iota: Interpretation, f: Formula, fresh: itertools.count | None = None) -> Formula:
@@ -560,10 +534,6 @@ def rewrite(iota: Interpretation, f: Formula, fresh: itertools.count | None = No
     source structure agrees with evaluating f on the interpreted structure.
     """
     fresh = fresh if fresh is not None else itertools.count()
-    if isinstance(f, (TrueF, FalseF)):
-        return f
-    if isinstance(f, Eq):
-        return f
     if isinstance(f, Atom):
         if f.rel not in iota.relations:
             raise DomainError(f"relation {f.rel!r} is not defined by the interpretation")
@@ -571,20 +541,11 @@ def rewrite(iota: Interpretation, f: Formula, fresh: itertools.count | None = No
         if len(params) != len(f.args):
             raise DomainError(f"arity mismatch for {f.rel!r}")
         return _subst(body, dict(zip(params, f.args)), fresh)
-    if isinstance(f, Not):
-        return Not(rewrite(iota, f.body, fresh))
-    if isinstance(f, And):
-        return And(tuple(rewrite(iota, p, fresh) for p in f.parts))
-    if isinstance(f, Or):
-        return Or(tuple(rewrite(iota, p, fresh) for p in f.parts))
-    if isinstance(f, Implies):
-        return Implies(rewrite(iota, f.left, fresh), rewrite(iota, f.right, fresh))
-    guard = _subst(iota.domain_formula, {iota.domain_var: f.var}, fresh)
-    if isinstance(f, Exists):
-        return Exists(f.var, And((guard, rewrite(iota, f.body, fresh))))
-    if isinstance(f, Forall):
-        return Forall(f.var, Implies(guard, rewrite(iota, f.body, fresh)))
-    raise DomainError(f"unknown formula node {f!r}")
+    if isinstance(f, (Exists, Forall)):
+        guard = _subst(iota.domain_formula, {iota.domain_var: f.var}, fresh)
+        body = rewrite(iota, f.body, fresh)
+        return Exists(f.var, And((guard, body))) if isinstance(f, Exists) else Forall(f.var, Implies(guard, body))
+    return _with_children(f, [rewrite(iota, c, fresh) for c in _children(f)])
 
 
 # ---------------------------------------------------------------------------
@@ -639,18 +600,9 @@ def transduce_permutation(
     for mark in ("m1", "m2"):
         if not evaluate(st, _linear_order_formula("m", mark), budget):
             return None
-
-    def sort_key(mark: str):
-        def leq(a: str, b: str) -> bool:
-            side = side1 if mark == "m1" else side2
-            na = g.neighbors(a) & side
-            nb = g.neighbors(b) & side
-            return na <= nb
-
-        return lambda v: sum(1 for w in core if leq(w, v))
-
-    first = sorted(core, key=sort_key("m1"))
-    second = sorted(core, key=sort_key("m2"))
+    # inclusion is a linear order on the core, so the set sizes grow strictly along it
+    first = sorted(core, key=lambda v: len(g.neighbors(v) & side1))
+    second = sorted(core, key=lambda v: len(g.neighbors(v) & side2))
     return permutation_from_orders(first, second)
 
 
@@ -693,8 +645,6 @@ def modelcheck_interval_graph(g: Graph, f: Formula, budget: int = DEFAULT_EVAL_B
     Sentences are isomorphism-invariant, so answering on the recognized
     model's decoding answers for g.
     """
-    from .ilrep import recognize_interval, rep_from_intervals
-
     model = recognize_interval(g)
     if model is None:
         raise DomainError("graph is not an interval graph")

@@ -53,7 +53,6 @@ class PermSubmatrixWitness:
     row_keys: tuple[str, ...]  # in matrix row order; first ends pairwise distinct
     col_keys: tuple[str, ...]  # in matrix column order
     perm: tuple[int, ...]  # the permutation whose 0/1 matrix the submatrix equals
-    verified: bool
 
     def to_json(self) -> dict:
         return {
@@ -61,7 +60,7 @@ class PermSubmatrixWitness:
             "permutation": list(self.perm),
             "rows": list(self.row_keys),
             "cols": list(self.col_keys),
-            "verification": "pass" if self.verified else "fail",
+            "verification": "pass",
         }
 
 
@@ -135,7 +134,7 @@ def extract_perm_submatrix(
     rows = tuple(sorted((rk for rk, _ in chosen), key=rpos.__getitem__))
     cols = tuple(sorted((ck for _, ck in chosen), key=cpos.__getitem__))
     _assert_witness(m, rows, cols, w)
-    return PermSubmatrixWitness(rows, cols, w, True)
+    return PermSubmatrixWitness(rows, cols, w)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +148,6 @@ class CirclePermWitness:
     vertices: tuple[str, ...]  # the submatrix row order
     perm: tuple[int, ...]  # the requested permutation; the subgraph realizes it
     submatrix: PermSubmatrixWitness
-    verified: bool
 
     def to_json(self) -> dict:
         return {
@@ -157,28 +155,26 @@ class CirclePermWitness:
             "permutation": list(self.perm),
             "vertices": list(self.vertices),
             "submatrix": self.submatrix.to_json(),
-            "verification": "pass" if self.verified else "fail",
+            "verification": "pass",
         }
 
 
 def circle_permutation_witness(
-    g: Graph,
     rep: IntervalLikeRep,
     word: Sequence[int],
     minor: MixedMinorWitness | Division | None = None,
 ) -> CirclePermWitness:
-    """Vertices of an overlap graph inducing the permutation graph of ``word``."""
+    """Vertices of the overlap graph ``decode(rep)`` inducing the permutation graph of ``word``."""
     w = check_permutation(word)
     if rep.kind != OVERLAP:
         raise DomainError("circle witnesses need an overlap representation")
-    if g != decode(rep):
-        raise DomainError("graph does not match the representation's decoding")
+    g = decode(rep)
     sub = extract_perm_submatrix(build_ilmatrix(rep), reversal(w), minor)
     vertices = sub.row_keys
     for i, j in itertools.combinations(range(len(w)), 2):
         if g.has_edge(vertices[i], vertices[j]) != (w[i] > w[j]):
             raise ExtractionError("induced subgraph is not the requested permutation graph")
-    return CirclePermWitness(vertices, w, sub, True)
+    return CirclePermWitness(vertices, w, sub)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +188,6 @@ class ExposureWitness:
     side1: tuple[str, ...]  # mate of core[i] in the first chain
     side2: tuple[str, ...]  # mate of core[i] in the second chain
     perm: tuple[int, ...]
-    verified: bool
 
     def to_json(self) -> dict:
         return {
@@ -204,7 +199,7 @@ class ExposureWitness:
                 "side1": dict(zip(self.core, self.side1)),
                 "side2": dict(zip(self.core, self.side2)),
             },
-            "verification": "pass" if self.verified else "fail",
+            "verification": "pass",
         }
 
 
@@ -268,12 +263,11 @@ def exposed_permutation(
 
 
 def interval_exposure_witness(
-    g: Graph,
     rep: IntervalLikeRep,
     word: Sequence[int],
     minor: MixedMinorWitness | Division | None = None,
 ) -> ExposureWitness:
-    """An induced subgraph of a twin-free interval graph exposing ``word``.
+    """An induced subgraph of the twin-free interval graph ``decode(rep)`` exposing ``word``.
 
     Needs a condensed representation: each extracted vertex's first end must
     also be some other vertex's second end (and symmetrically), which is
@@ -283,8 +277,7 @@ def interval_exposure_witness(
     p = len(w)
     if rep.kind != INTERVAL:
         raise DomainError("exposure witnesses need an interval representation")
-    if g != decode(rep):
-        raise DomainError("graph does not match the representation's decoding")
+    g = decode(rep)
     twins = find_twins(g)
     if twins:
         raise DomainError(f"graph has twins, e.g. {twins[0]}; exposure extraction needs a twin-free graph")
@@ -325,7 +318,7 @@ def interval_exposure_witness(
     h = g.subgraph(keep)
     if not check_exposes(h, core, side1, side2, w):
         raise ExtractionError("extracted subgraph does not expose the requested permutation")
-    return ExposureWitness(h, core, side1, side2, w, True)
+    return ExposureWitness(h, core, side1, side2, w)
 
 
 # ---------------------------------------------------------------------------

@@ -172,9 +172,6 @@ class MixedMinorWitness:
     zone_rows: dict[tuple[int, int], tuple[str, str]]
     zone_cols: dict[tuple[int, int], tuple[str, str]]
 
-    def order(self) -> int:
-        return len(self.division.row_blocks)
-
     def to_json(self) -> dict:
         return {
             "type": "mixed-minor-division",

@@ -195,7 +195,7 @@ def test_criterion_5_permutation_extraction():
             firsts = [ilm.row_pairs[rk][0] for rk in sub.row_keys]
             assert len(set(firsts)) == len(firsts)
 
-            witness = circle_permutation_witness(g, overlap.rep, word, minor=minor)
+            witness = circle_permutation_witness(overlap.rep, word, minor=minor)
             assert is_isomorphic(g.subgraph(witness.vertices), permutation_graph(word))
             checked += 1
     budget.done(f"{checked} permutations extracted and verified on planted instances")

@@ -575,6 +575,12 @@ ROBUSTNESS = ["robustness", "--case", "circle", "--pi", "1", "-r", "0"]
          "unrecognized arguments: --json"),
         (["tww", "greedy"], "the following arguments are required: --graph"),
         (["decode"], "one of the arguments --intervals --chords is required"),
+        # g is the name the .g text gets by default; giving it is still a second output option
+        (["decode", "--intervals", str(DATA / "demo6.ivl"), "--json", "--name", "g"],
+         "argument --name: not allowed with argument --json"),
+        (["perturb", "--graph", DEMO5, "--json", "--name", "g"], "argument --name: not allowed with argument --json"),
+        (["generate", "permgraph", "--pi", "1", "--json", "--name", "g"],
+         "argument --name: not allowed with argument --json"),
     ],
 )
 def test_options_the_action_ignores_are_usage_errors(capsys, argv, message):

@@ -59,7 +59,7 @@ def test_extract_perm_submatrix_p1():
     inst = planted_mixed_minor_rep(1, OVERLAP)
     ilm = build_ilmatrix(inst.rep)
     w = extract_perm_submatrix(ilm, (1,), minor=inst.minor)
-    assert w.perm == (1,) and w.verified
+    assert w.perm == (1,)
     assert ilm.matrix.entry(w.row_keys[0], w.col_keys[0]) == 1
 
 
@@ -81,7 +81,7 @@ def test_extract_perm_submatrix_all_small_perms():
         ilm = build_ilmatrix(inst.rep)
         for word in all_perms(p):
             w = extract_perm_submatrix(ilm, word, minor=inst.minor)
-            assert w.verified
+            assert w.perm == word
 
 
 def test_extract_requires_minor():
@@ -92,14 +92,13 @@ def test_extract_requires_minor():
 
 def test_circle_witness_examples():
     inst = planted_mixed_minor_rep(1, OVERLAP)
-    g = decode(inst.rep)
-    w = circle_permutation_witness(g, inst.rep, (1,), minor=inst.minor)
+    w = circle_permutation_witness(inst.rep, (1,), minor=inst.minor)
     assert len(w.vertices) == 1
 
     inst2 = planted_mixed_minor_rep(2, OVERLAP)
     g2 = decode(inst2.rep)
     for word, expected_edges in (((2, 1), 1), ((1, 2), 0)):
-        w = circle_permutation_witness(g2, inst2.rep, word, minor=inst2.minor)
+        w = circle_permutation_witness(inst2.rep, word, minor=inst2.minor)
         induced = g2.subgraph(w.vertices)
         assert len(induced.edges) == expected_edges
         assert is_isomorphic(induced, permutation_graph(word))
@@ -107,15 +106,15 @@ def test_circle_witness_examples():
 
 def test_circle_witness_kind_check(demo6_rep):
     with pytest.raises(DomainError):
-        circle_permutation_witness(decode(demo6_rep), demo6_rep, (1,))
+        circle_permutation_witness(demo6_rep, (1,))
 
 
 def test_circle_witness_above_the_old_isomorphism_cap():
     inst = planted_mixed_minor_rep(13, OVERLAP)
     g = decode(inst.rep)
     word = tuple(random.Random(13).sample(range(1, 14), 13))
-    w = circle_permutation_witness(g, inst.rep, word, minor=inst.minor)
-    assert w.verified and len(w.vertices) == 13
+    w = circle_permutation_witness(inst.rep, word, minor=inst.minor)
+    assert len(w.vertices) == 13
     position = {v: str(i) for i, v in enumerate(w.vertices, start=1)}
     assert g.subgraph(w.vertices).relabel(position) == permutation_graph(word)
 
@@ -135,13 +134,12 @@ def test_circle_witness_rejects_rows_out_of_map_order(monkeypatch):
     rows = reversed_rows(build_ilmatrix(inst.rep), reversal(word), inst.minor).row_keys
     assert is_isomorphic(g.subgraph(rows), permutation_graph(word))
     with pytest.raises(ExtractionError, match="not the requested permutation graph"):
-        circle_permutation_witness(g, inst.rep, word, minor=inst.minor)
+        circle_permutation_witness(inst.rep, word, minor=inst.minor)
 
 
 def test_exposure_witness_p1():
     inst = planted_mixed_minor_rep(1, INTERVAL)
-    g = decode(inst.rep)
-    w = interval_exposure_witness(g, inst.rep, (1,), minor=inst.minor)
+    w = interval_exposure_witness(inst.rep, (1,), minor=inst.minor)
     assert len(w.core) == 1 and len(w.side1) == 1 and len(w.side2) == 1
     assert check_exposes(w.graph, w.core, w.side1, w.side2, (1,))
 
@@ -151,16 +149,15 @@ def test_exposure_witness_all_small_perms():
         inst = planted_mixed_minor_rep(p, INTERVAL)
         g = decode(inst.rep)
         for word in all_perms(p):
-            w = interval_exposure_witness(g, inst.rep, word, minor=inst.minor)
-            assert w.verified and w.perm == word
+            w = interval_exposure_witness(inst.rep, word, minor=inst.minor)
+            assert w.perm == word
             assert w.graph.vertices <= g.vertices
 
 
 def test_exposure_witness_rejects_twins():
     rep = IntervalLikeRep(("a", "b", "c"), frozenset({("a", "b"), ("a", "c")}), INTERVAL)
-    g = decode(rep)
     with pytest.raises(DomainError, match="twin"):
-        interval_exposure_witness(g, rep, (1,))
+        interval_exposure_witness(rep, (1,))
 
 
 def test_exposure_witness_mate_resolution_failure():
@@ -178,7 +175,7 @@ def test_exposure_witness_mate_resolution_failure():
         minor = find_mixed_minor(ilm.matrix, 3)
         if minor is not None:
             try:
-                interval_exposure_witness(g, rep, (1,), minor=minor)
+                interval_exposure_witness(rep, (1,), minor=minor)
             except (MateResolutionError, ExtractionError):
                 pass
 
