@@ -617,3 +617,36 @@ def test_graph_json_schema(capsys, argv):
     code, out = run_cli(capsys, *argv, "--json")
     assert code == 0
     jsonschema.validate(json.loads(out), load_schema("graph.schema.json"))
+
+
+DEMO6, DEMO7 = ["--intervals", str(DATA / "demo6.ivl")], ["--chords", str(DATA / "demo7.chd")]
+FO = ["--formula", str(DATA / "dominating.fo")]
+MAT = ["--matrix", str(DATA / "demo6.mat.golden")]
+
+
+@pytest.mark.parametrize(
+    "argv, schema",
+    [
+        (["fo-check", *DEMO6, *FO], "fo-check.schema.json"),
+        (["fo-check", *DEMO6, *FO, "--direct"], "fo-check.schema.json"),
+        (["fo-check", *DEMO7, *FO], "fo-check.schema.json"),
+        (["fo-check", *DEMO7, *FO, "--direct"], "fo-check.schema.json"),
+        (["condense", *DEMO6, "--json"], "condense.schema.json"),
+        (["condense", *DEMO7, "--json"], "condense.schema.json"),
+        (["ilmatrix", *DEMO6, "--json"], "ilmatrix.schema.json"),
+        (["ilmatrix", *DEMO7, "--json"], "ilmatrix.schema.json"),
+        (["mixed-minor", *MAT, "-k", "2", "--json"], "mixed-minor.schema.json"),
+        (["mixed-minor", *MAT, "-k", "3", "--json"], "mixed-minor.schema.json"),
+    ],
+    ids=[
+        "fo-check-ivl", "fo-check-ivl-direct", "fo-check-chd", "fo-check-chd-direct", "condense-ivl", "condense-chd",
+        "ilmatrix-ivl", "ilmatrix-chd", "mixed-minor-found", "mixed-minor-none",
+    ],
+)
+def test_json_output_schemas(capsys, argv, schema):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out)
+    jsonschema.validate(payload, load_schema(schema))
+    if payload.get("witness") is not None:
+        jsonschema.validate(payload["witness"], load_schema("witness.schema.json"))
