@@ -21,8 +21,6 @@ small S-expression grammar, e.g. ``(exists x (exists y (edge x y)))``.
 Each formula rule is stated once: ``_children`` lists a node's children,
 ``_with_children`` rebuilds a connective or quantifier over new ones, and
 ``_HEADS`` names its S-expression head for both the parser and the printer.
-Substitution and rewriting handle only the nodes they change and rebuild
-the rest through ``_with_children``.
 """
 
 from __future__ import annotations
