@@ -26,7 +26,6 @@ Each formula rule is stated once: ``_children`` lists a node's children,
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cache, cached_property
 from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
@@ -36,6 +35,7 @@ from .graphs import Graph, permutation_from_orders
 from .ilrep import (
     INTERVAL, OVERLAP, IlMatrix, IntervalLikeRep, build_ilmatrix, condense, decode, recognize_interval, rep_from_intervals
 )
+from .records import record
 
 DEFAULT_EVAL_BUDGET = 10_000_000
 # Parsing, rewriting, compiling and evaluating recurse on nesting.  On the
@@ -69,17 +69,17 @@ class Formula:
         return tuple(sorted(self.free_vars))
 
 
-@dataclass(frozen=True)
+@record
 class TrueF(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class FalseF(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Atom(Formula):
     rel: str
     args: tuple[str, ...]
@@ -89,7 +89,7 @@ class Atom(Formula):
         return frozenset(self.args)
 
 
-@dataclass(frozen=True)
+@record
 class Eq(Formula):
     left: str
     right: str
@@ -99,34 +99,34 @@ class Eq(Formula):
         return frozenset((self.left, self.right))
 
 
-@dataclass(frozen=True)
+@record
 class Not(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@record
 class And(Formula):
     parts: tuple[Formula, ...]
 
 
-@dataclass(frozen=True)
+@record
 class Or(Formula):
     parts: tuple[Formula, ...]
 
 
-@dataclass(frozen=True)
+@record
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@record
 class Exists(Formula):
     var: str
     body: Formula
 
 
-@dataclass(frozen=True)
+@record
 class Forall(Formula):
     var: str
     body: Formula
@@ -244,7 +244,7 @@ def quantifier_depth(f: Formula) -> int:
 # structures
 
 
-@dataclass(frozen=True)
+@record
 class Structure:
     domain: tuple[str, ...]
     relations: dict[str, frozenset[tuple[str, str]]]
@@ -441,7 +441,7 @@ def _junction(parts: list, conj: bool):
 # interpretations
 
 
-@dataclass(frozen=True)
+@record
 class Interpretation:
     """Domain formula plus one defining formula per output relation."""
 

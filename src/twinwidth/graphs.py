@@ -18,11 +18,11 @@ One-line permutations are plain tuples over 1..p, e.g. ``(3, 1, 4, 2)``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, DomainError, FormatError
+from .records import record
 
 DEFAULT_ISO_CAP = 12
 
@@ -31,7 +31,7 @@ def _norm_edge(u: str, v: str) -> tuple[str, str]:
     return (u, v) if u <= v else (v, u)
 
 
-@dataclass(frozen=True)
+@record
 class Graph:
     """A simple graph: loop-free, no duplicate edges."""
 
@@ -87,7 +87,7 @@ class Graph:
         return Graph.build(vs, edges)
 
 
-@dataclass(frozen=True)
+@record
 class ContractionStep:
     u: str
     v: str

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import CapExceeded, DomainError, FormatError
 from .graphs import Graph
+from .records import record
 from .trimatrix import RED, TriMatrix
 
 INTERVAL = "interval"
@@ -47,7 +47,7 @@ def pair_name(pair: tuple[str, str]) -> str:
     return f"({pair[0]},{pair[1]})"
 
 
-@dataclass(frozen=True)
+@record
 class IntervalLikeRep:
     """Ordered ends, a set of end pairs (the vertices), and a decoding kind."""
 
@@ -102,7 +102,7 @@ def rep_from_intervals(
     return IntervalLikeRep(ends, pairs, kind)
 
 
-@dataclass(frozen=True)
+@record
 class ChordDiagram:
     """Circular endpoint sequence of chords; every chord label appears exactly twice."""
 
@@ -175,11 +175,11 @@ def decode(rep: IntervalLikeRep) -> Graph:
 # representation matrices
 
 
-@dataclass(frozen=True)
+@record(uncompared=("row_pairs",))
 class IlMatrix:
     matrix: TriMatrix
     rep: IntervalLikeRep
-    row_pairs: dict[str, tuple[str, str]] = field(compare=False)
+    row_pairs: dict[str, tuple[str, str]]
 
 
 def build_ilmatrix(rep: IntervalLikeRep) -> IlMatrix:

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import CapExceeded, DomainError, ExtractionError
 from .graphs import Graph, check_permutation, find_twins, inverse_permutation
 from .ilrep import INTERVAL, OVERLAP, IlMatrix, IntervalLikeRep, build_ilmatrix, decode, pair_name
+from .records import record
 from .trimatrix import Division, MixedMinorWitness, find_mixed_minor, permutation_matrix, verify_division_mixed
 
 DEFAULT_EXPOSURE_SEARCH_CAP = 500_000
@@ -48,7 +48,7 @@ class MateResolutionError(DomainError):
     """
 
 
-@dataclass(frozen=True)
+@record
 class PermSubmatrixWitness:
     row_keys: tuple[str, ...]  # in matrix row order; first ends pairwise distinct
     col_keys: tuple[str, ...]  # in matrix column order
@@ -141,7 +141,7 @@ def extract_perm_submatrix(
 # circle-graph permutation subgraphs
 
 
-@dataclass(frozen=True)
+@record
 class CirclePermWitness:
     """The vertex order is the map: ``vertices[i]`` plays position i + 1 of ``permutation_graph(perm)``."""
 
@@ -181,7 +181,7 @@ def circle_permutation_witness(
 # exposure
 
 
-@dataclass(frozen=True)
+@record
 class ExposureWitness:
     graph: Graph  # induced on core + mates
     core: tuple[str, ...]  # ordered: nesting order of the first chain
@@ -325,7 +325,7 @@ def interval_exposure_witness(
 # canonical exposers
 
 
-@dataclass(frozen=True)
+@record
 class ExposerInstance:
     graph: Graph
     core: tuple[str, ...]
@@ -396,7 +396,7 @@ def find_exposed_permutations(
 # planted instances (test infrastructure)
 
 
-@dataclass(frozen=True)
+@record
 class PlantedInstance:
     rep: IntervalLikeRep
     minor: Division  # the intended all-mixed division

@@ -33,12 +33,12 @@ import hashlib
 import itertools
 import random
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import CapExceeded, DomainError, ExtractionError
 from .graphs import Graph, check_permutation, permutation_graph
 from .obstruction import check_exposes, generate_exposer
+from .records import record
 
 DEFAULT_GADGET_CAP = 4096
 
@@ -76,7 +76,7 @@ def apply_perturbation(g: Graph, script: Sequence[Iterable[str]]) -> Graph:
 # lexicographic powers
 
 
-@dataclass(frozen=True)
+@record
 class LexPowerOrders:
     """Two linear orders on base^exponent, as lexicographic powers.
 
@@ -136,14 +136,14 @@ class LexPowerOrders:
 # homogeneous sets
 
 
-@dataclass(frozen=True)
+@record(uncompared=("suffixes", "elements"))
 class HomogeneousSet:
     """A base-sized power subset lying inside or outside each input set."""
 
     position: int  # the free coordinate, 1-based
     prefix: tuple
-    suffixes: dict[int, dict] = field(compare=False)  # coordinate -> {base element -> value}
-    elements: frozenset = field(compare=False)
+    suffixes: dict[int, dict]  # coordinate -> {base element -> value}
+    elements: frozenset
 
 
 def find_homogeneous_set(
@@ -303,7 +303,7 @@ def _sweep(case, sizes, gadget, check, exponent, draw, key, mode, samples, seed,
 # circle gadget
 
 
-@dataclass(frozen=True)
+@record
 class CircleGadget:
     orders: LexPowerOrders
     word: tuple[int, ...]
@@ -385,7 +385,7 @@ def verify_robustness_circle(
 # interval gadget (lazy: adjacency is defined by rank formulas)
 
 
-@dataclass(frozen=True)
+@record
 class _KindNames(Sequence):
     """Core names w1..wN, then mates u1..uN and v1..vN, never listed: N can reach 2^40."""
 
@@ -399,7 +399,7 @@ class _KindNames(Sequence):
         return f"{'wuv'[kind]}{rank + 1}"
 
 
-@dataclass(frozen=True)
+@record
 class IntervalGadget:
     orders: LexPowerOrders  # flattened ground order: base T, exponent u_power * z_power
     pi: tuple[int, ...]
@@ -564,7 +564,7 @@ def verify_robustness_interval(
     return _sweep("interval", sizes, gadget, _check_interval_script, e, draw, None, mode, samples, seed, budget)
 
 
-@dataclass(frozen=True)
+@record
 class RobustnessReport:
     case: str  # "circle" | "interval"
     params: dict

@@ -24,16 +24,16 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 
 from .errors import CapExceeded, DomainError
 from .graphs import ContractionStep, Graph, _adjacency, _bits, _contract_masks, sequence_width
+from .records import record
 from .trimatrix import DEFAULT_ORDERING_CAP, TriMatrix, _walk, find_mixed_minor
 
 DEFAULT_EXACT_CAP = 10
 
 
-@dataclass(frozen=True)
+@record
 class SolveResult:
     value: int
     optimal: bool

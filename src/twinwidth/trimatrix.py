@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import DomainError, FormatError
 from .graphs import Graph, _bits
+from .records import record
 
 RED = 3
 
@@ -43,7 +43,7 @@ DEFAULT_MATRIX_BUDGET = 10  # rows + cols for the exact solver
 DEFAULT_ORDERING_CAP = 6  # per-axis size for exhaustive row/col ordering search
 
 
-@dataclass(frozen=True)
+@record
 class TriMatrix:
     row_keys: tuple[str, ...]
     col_keys: tuple[str, ...]
@@ -153,7 +153,7 @@ def red_number(m: TriMatrix) -> int:
 # divisions, zones, mixed minors
 
 
-@dataclass(frozen=True)
+@record
 class Division:
     """Consecutive partitions of the row and column keys into nonempty blocks."""
 
@@ -165,7 +165,7 @@ class Division:
             raise DomainError("division blocks must be nonempty")
 
 
-@dataclass(frozen=True)
+@record
 class MixedMinorWitness:
     division: Division
     # per zone (i, j): two row keys and two column keys that differ inside it
@@ -423,7 +423,7 @@ def _walk(sizes: Sequence[int], profile) -> tuple[int, list[tuple[int, int, int]
 # twin-width of a matrix
 
 
-@dataclass(frozen=True)
+@record
 class MatrixSolveResult:
     value: int
     optimal: bool

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 
@@ -19,6 +18,7 @@ from twinwidth.ilrep import (
 )
 from twinwidth.obstruction import (
     MateResolutionError,
+    PermSubmatrixWitness,
     check_exposes,
     circle_permutation_witness,
     exposed_permutation,
@@ -128,7 +128,7 @@ def test_circle_witness_rejects_rows_out_of_map_order(monkeypatch):
 
     def reversed_rows(*args, **kwargs):
         sub = real(*args, **kwargs)
-        return dataclasses.replace(sub, row_keys=sub.row_keys[::-1])
+        return PermSubmatrixWitness(sub.row_keys[::-1], sub.col_keys, sub.perm)
 
     monkeypatch.setattr(obstruction, "extract_perm_submatrix", reversed_rows)
     rows = reversed_rows(build_ilmatrix(inst.rep), reversal(word), inst.minor).row_keys

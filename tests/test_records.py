@@ -9,6 +9,9 @@ to the hash of the tuple of compared fields, the ``Name(field=value, ...)``
 repr over every field, and no assignment or deletion after construction.
 """
 
+import subprocess
+import sys
+
 import pytest
 
 from twinwidth.errors import DomainError
@@ -285,3 +288,16 @@ def test_post_init_validation_raises_domain_error(cls, values):
 def test_classes_with_the_same_fields_differ(a, b):
     assert a != b and b != a
     assert len({a, b}) == 2
+
+
+# the namespaces bench/spans.py wraps; each must be imported by the CLI itself
+SPAN_HOMES = ("fologic", "graphs", "ilrep", "obstruction", "perturb", "solver", "trimatrix")
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # a fresh interpreter: pytest itself has imported both modules here
+    code = "import sys, twinwidth.cli; print(*sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    modules = set(proc.stdout.split())
+    assert not {"dataclasses", "inspect"} & modules
+    assert {f"twinwidth.{home}" for home in SPAN_HOMES} <= modules
