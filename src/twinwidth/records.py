@@ -1,11 +1,4 @@
-"""Frozen value classes without generated code.
-
-``@record`` gives a class an ``__init__`` over its own annotated fields (then
-``__post_init__``), ``==`` within one class, a hash equal to that of the tuple
-of compared fields, a ``Name(field=value, ...)`` repr, and no assignment or
-deletion after construction.  The methods are closures, not source compiled
-per class, so decorating a class costs microseconds and this module imports
-nothing beyond ``operator``.
+"""Frozen value classes whose methods are shared closures: no source is generated per class.
 
 >>> @record
 ... class Point:
@@ -28,11 +21,20 @@ def _key_getter(names: tuple[str, ...]):
 
 
 def _frozen(self, name: str, *value) -> None:
-    raise AttributeError(f"cannot assign to or delete field {name!r} of a frozen {type(self).__qualname__}")
+    raise AttributeError(f"cannot assign to or delete {name!r}: {type(self).__qualname__} is frozen")
 
 
 def record(cls=None, /, *, uncompared: tuple[str, ...] = ()):
-    """Decorate ``cls`` as a frozen value class; ``uncompared`` fields are left out of ``==`` and hash."""
+    """Make ``cls`` a frozen value class over its own annotated fields, in order.
+
+    ``__init__`` takes the fields by position or keyword, then calls
+    ``__post_init__`` if the class has one.  ``==`` holds only between
+    instances of one class with equal compared fields (all but
+    ``uncompared``), the hash is that of the tuple of compared fields, the
+    repr is ``Name(field=value, ...)`` over every field, and assigning or
+    deleting an attribute raises ``AttributeError``.  Instances keep their
+    ``__dict__``, so ``cached_property`` works on them.
+    """
     if cls is None:
         return lambda c: record(c, uncompared=uncompared)
     names = tuple(cls.__annotations__)

@@ -9,6 +9,7 @@ to the hash of the tuple of compared fields, the ``Name(field=value, ...)``
 repr over every field, and no assignment or deletion after construction.
 """
 
+import importlib
 import subprocess
 import sys
 
@@ -136,6 +137,8 @@ RECORDS = {
 }
 
 CLASSES = list(RECORDS)
+# the modules that define value classes; bench/spans.py wraps functions in each
+SPAN_HOMES = ("fologic", "graphs", "ilrep", "obstruction", "perturb", "solver", "trimatrix")
 records = pytest.mark.parametrize("cls", CLASSES, ids=[c.__qualname__ for c in CLASSES])
 
 
@@ -148,8 +151,14 @@ def compared(cls, x) -> tuple:
     return tuple(getattr(x, n) for n in names if n not in uncompared)
 
 
-def test_every_value_class_is_listed():
-    assert len(CLASSES) == 33
+def test_every_frozen_class_is_listed():
+    frozen = {
+        c
+        for home in SPAN_HOMES
+        for c in vars(importlib.import_module(f"twinwidth.{home}")).values()
+        if isinstance(c, type) and "__setattr__" in vars(c)
+    }
+    assert frozen == set(CLASSES) and len(CLASSES) == 33
 
 
 @records
@@ -288,10 +297,6 @@ def test_post_init_validation_raises_domain_error(cls, values):
 def test_classes_with_the_same_fields_differ(a, b):
     assert a != b and b != a
     assert len({a, b}) == 2
-
-
-# the namespaces bench/spans.py wraps; each must be imported by the CLI itself
-SPAN_HOMES = ("fologic", "graphs", "ilrep", "obstruction", "perturb", "solver", "trimatrix")
 
 
 def test_cli_import_skips_dataclasses_and_inspect():
