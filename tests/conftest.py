@@ -10,6 +10,7 @@ plain recursion over formula syntax for first-order truth.
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,6 +34,30 @@ DEMO6_INTERVALS = [
     ("dd", 4, 4),
     ("de", 4, 5),
 ]
+
+
+def seeded_intervals_text(n: int = 1000, seed: int = 16) -> str:
+    """``.ivl`` text of n distinct integer intervals drawn from ``random.Random(seed)``.
+
+    Left ends lie in [0, 2n) and lengths in [0, 2n // 3), the size and shape
+    of the large inputs of the ``bulk`` benchmark: at n = 1000 the interval
+    graph has about 150 000 edges and the overlap matrix about 3 million
+    cells.
+    """
+    rng = random.Random(seed)
+    spans: dict[tuple[int, int], None] = {}
+    while len(spans) < n:
+        a = rng.randrange(2 * n)
+        spans.setdefault((a, a + rng.randrange(2 * n // 3)))
+    return "".join(f"i x{i} {a} {b}\n" for i, (a, b) in enumerate(spans))
+
+
+@pytest.fixture(scope="session")
+def intervals1000(tmp_path_factory) -> Path:
+    """The seeded 1 000-interval model as an ``.ivl`` file."""
+    path = tmp_path_factory.mktemp("ivl") / "m1000.ivl"
+    path.write_text(seeded_intervals_text())
+    return path
 
 
 @pytest.fixture

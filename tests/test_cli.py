@@ -411,16 +411,20 @@ def test_console_script_entrypoint():
     assert "e 1 2" in proc.stdout
 
 
-def test_closed_output_pipe_is_one_error_line():
-    # 6.4 MB of JSON: the writer blocks on the full pipe until the reader closes it
-    argv = [sys.executable, "-m", "twinwidth.cli", "generate", "hplus-interval", "--pi", "1", "--json"]
-    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
-        assert proc.stdout.read(1) == b"{"
+def assert_closed_pipe_is_one_error_line(argv: list[str], first: bytes) -> None:
+    """Run the CLI on argv, close its stdout after the first byte: exit 1, one error line, no traceback."""
+    with subprocess.Popen([sys.executable, "-m", "twinwidth.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(1) == first
         proc.stdout.close()
         err = proc.stderr.read().decode()
         assert proc.wait(timeout=60) == 1
     assert err == "error: output pipe closed\n"
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_closed_output_pipe_is_one_error_line():
+    # 6.4 MB of JSON: the writer blocks on the full pipe until the reader closes it
+    assert_closed_pipe_is_one_error_line(["generate", "hplus-interval", "--pi", "1", "--json"], b"{")
 
 
 # sha256 of `generate hplus-interval --pi 1 --json` (768 vertices, 163 712 edges)
@@ -449,6 +453,22 @@ def test_hplus_interval_json_bytes_pinned():
     code, out = run_stdout(["generate", "hplus-interval", "--pi", "1", "--json"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == HPLUS_INTERVAL_SHA256
+
+
+# sha256 of the output on the seeded 1 000-interval model: a 2 304 x 1 309 overlap
+# matrix, as text and as JSON, and the interval graph's 149 826 edges as .g text
+BULK_SHA256 = {
+    "ilmatrix --kind overlap": "651fc6c228743bc1544614b0816081d08cea18d61d826f6ae84c30dad3c8632e",
+    "ilmatrix --kind overlap --json": "9f785a88620c7deadf5a115d54ae036481f5df77bbdcb75fdde3562b64ac301a",
+    "decode --kind interval": "36c5bafd14617cee0e55039631a79c806a9a81c7d7ccf35cdc0f2f53db42b77a",
+}
+
+
+@pytest.mark.parametrize("command", BULK_SHA256)
+def test_bulk_outputs_pinned(intervals1000, command):
+    code, out = run_stdout([*command.split(), "--intervals", str(intervals1000)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == BULK_SHA256[command]
 
 
 def test_golden_perturb_escaped_names():

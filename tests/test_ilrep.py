@@ -175,6 +175,13 @@ def test_decode_from_matrix_round_trip_random():
         assert decode_from_matrix(build_ilmatrix(rep), kind) == decode(rep)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_decode_from_matrix_round_trip_at_scale(intervals1000, kind):
+    # 2 304 rows of 1 309 cells, every one read back through validate_ilmatrix
+    rep = rep_from_intervals(intervals_from_text(intervals1000.read_text()), kind)
+    assert decode_from_matrix(build_ilmatrix(rep), kind) == decode(rep)
+
+
 def test_decode_from_matrix_rejects_malformed():
     bad = TriMatrix.build(["r1", "r2"], ["c1", "c2"], [[2, 2], [0, 0]])
     with pytest.raises(DomainError):
