@@ -88,7 +88,7 @@ def _emit_graph(args, g: graphs.Graph, extra: dict | None = None) -> None:
     if args.json:
         _emit_json({"vertices": sorted(g.vertices), "edges": g, **(extra or {})})
     else:
-        print(graphs.graph_to_text(g, **_given(args, "name")), end="")
+        sys.stdout.writelines(graphs.graph_lines(g, **_given(args, "name")))
 
 
 def _emit_solve(args, res) -> int:
@@ -123,11 +123,11 @@ def _cmd_ilmatrix(args) -> int:
             {
                 "rows": list(ilm.matrix.row_keys),
                 "cols": list(ilm.matrix.col_keys),
-                "entries": ["".join(map(str, row)) for row in ilm.matrix.rows],
+                "entries": list(map(trimatrix.row_text, ilm.matrix.rows)),
             }
         )
     else:
-        print(trimatrix.matrix_to_text(ilm.matrix), end="")
+        sys.stdout.writelines(trimatrix.matrix_lines(ilm.matrix))
     return 0
 
 

@@ -307,14 +307,18 @@ def edge_rows(g: Graph, order: list[str]) -> Iterator[tuple[str, list[int]]]:
         yield u, ranks
 
 
+def graph_lines(g: Graph, name: str = "g") -> Iterator[str]:
+    """The ``.g`` text in pieces: the header with the ``v`` lines, then the ``e`` lines of each ``edge_rows`` row."""
+    order = sorted(g.vertices)
+    yield f"graph {name} {len(g.vertices)} {len(g.edges)}\n" + "".join(f"v {v}\n" for v in order)
+    for u, ranks in edge_rows(g, order):
+        if ranks:
+            yield "".join(f"e {u} {order[r]}\n" for r in ranks)
+
+
 def graph_to_text(g: Graph, name: str = "g") -> str:
     """Serialize: header ``graph <name> <n> <m>``, then sorted ``v``/``e`` lines."""
-    order = sorted(g.vertices)
-    lines = [f"graph {name} {len(g.vertices)} {len(g.edges)}"]
-    lines.extend(f"v {v}" for v in order)
-    for u, ranks in edge_rows(g, order):
-        lines.extend(map(f"e {u} ".__add__, map(order.__getitem__, ranks)))
-    return "\n".join(lines) + "\n"
+    return "".join(graph_lines(g, name))
 
 
 def graph_from_text(text: str) -> Graph:

@@ -13,6 +13,7 @@ The representation matrix has one column per end and one row per pair plus a
 dummy row (t, t) for every end t; a row holds 2 in the columns left of its
 first end and a single 1 in the column of its second end (pair rows only).
 Dummy rows encode the end order, which is what makes the matrix decodable.
+Each row is a ``bytes`` object, one byte per cell, built from whole slabs.
 """
 
 from __future__ import annotations
@@ -152,15 +153,18 @@ def _sweep_graph(spans: list[tuple[int, int]], names: list[str], kind: str) -> G
     """
     lefts = [l for l, _ in spans]
     rights = [r for _, r in spans]
-    edges: list[tuple[str, str]] = []
-    for i, (u, r) in enumerate(zip(names, rights)):
-        hi = bisect_right(lefts, r)
-        later = names[i + 1:hi]
-        if kind == OVERLAP:
-            later = [w for w, rw in zip(later, rights[i + 1:hi]) if r <= rw]
-        # built normalised (smaller name first), so Graph.build need not redo it
-        edges += [(u, w) if u < w else (w, u) for w in later]
-    return Graph(frozenset(names), frozenset(edges))
+
+    def edges():
+        for i, (u, r) in enumerate(zip(names, rights)):
+            hi = bisect_right(lefts, r)
+            later = names[i + 1:hi]
+            if kind == OVERLAP:
+                later = [w for w, rw in zip(later, rights[i + 1:hi]) if r <= rw]
+            # built normalised (smaller name first), so Graph.build need not redo it
+            yield from ((u, w) if u < w else (w, u) for w in later)
+
+    # fed straight to the frozenset: no list of all edges is built first
+    return Graph(frozenset(names), frozenset(edges()))
 
 
 def decode(rep: IntervalLikeRep) -> Graph:
@@ -193,9 +197,9 @@ def build_ilmatrix(rep: IntervalLikeRep) -> IlMatrix:
     # each row is built from whole slabs: a 2 prefix, then 0s, with a 1 in
     # the second end's column on pair rows
     rows = tuple(
-        (2,) * a + (0,) * (b - a) + (1,) + (0,) * (nc - b - 1)
+        b"\x02" * a + bytes(b - a) + b"\x01" + bytes(nc - b - 1)
         if (a, b) in pair_spans
-        else (2,) * a + (0,) * (nc - a)
+        else b"\x02" * a + bytes(nc - a)
         for a, b in spans
     )
     all_rows = [by_span[span] for span in spans]

@@ -29,11 +29,13 @@ sets holding both ends, so verification builds no gadget and no perturbed copy.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import random
 from collections.abc import Callable, Iterable, Sequence
 from functools import cached_property
+
+# hashlib's own blake2b, without the OpenSSL module that importing hashlib loads
+from _blake2 import blake2b
 
 from .errors import CapExceeded, DomainError, ExtractionError
 from .graphs import Graph, check_permutation, permutation_graph
@@ -539,7 +541,7 @@ def _block_exposes(target, adj, names, mates1, mates2) -> bool:
 
 
 def _hash_member(seed: int, script: int, which: int, vertex: str) -> bool:
-    digest = hashlib.blake2b(f"{seed}:{script}:{which}:{vertex}".encode(), digest_size=1).digest()
+    digest = blake2b(f"{seed}:{script}:{which}:{vertex}".encode(), digest_size=1).digest()
     return bool(digest[0] & 1)
 
 

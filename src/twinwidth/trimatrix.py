@@ -1,5 +1,10 @@
 """Ordered matrices over {0, 1, 2} plus a red error entry.
 
+A matrix row is a ``bytes`` object with one byte per cell, 0, 1, 2 or RED
+(3), so indexing, slicing, ``count`` and ``index`` on rows run in C, and a
+cell costs one byte.  ``matrix_lines`` writes the ``.mat`` text one row at a
+time.
+
 Contracting two rows keeps one of them and turns every entry where the two
 rows disagreed into RED; columns symmetrically.  The red number of a matrix
 is the maximum count of RED entries over all rows and columns.  A k-mixed
@@ -26,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, FormatError
 from .graphs import Graph, _bits
@@ -38,6 +43,11 @@ _SYMBOLS = {0: "0", 1: "1", 2: "2", RED: "r"}
 _VALUES = {s: v for v, s in _SYMBOLS.items()}
 # byte i -> its symbol; a row's entries are in 0..3 (checked on construction)
 _TO_TEXT = bytes.maketrans(bytes(_SYMBOLS), "".join(_SYMBOLS.values()).encode())
+# symbol -> its cell value; any other byte -> 255, which is no cell value
+_FROM_TEXT = bytes(_VALUES.get(chr(b), 255) for b in range(256))
+# the cell values: a row is valid iff deleting them leaves nothing
+_CELLS = bytes(_SYMBOLS)
+_BAD_ENTRY = "matrix entries must be 0, 1, 2 or RED"
 
 DEFAULT_MATRIX_BUDGET = 10  # rows + cols for the exact solver
 DEFAULT_ORDERING_CAP = 6  # per-axis size for exhaustive row/col ordering search
@@ -45,9 +55,11 @@ DEFAULT_ORDERING_CAP = 6  # per-axis size for exhaustive row/col ordering search
 
 @record
 class TriMatrix:
+    """Row and column keys, and one ``bytes`` row per row key, one byte per cell."""
+
     row_keys: tuple[str, ...]
     col_keys: tuple[str, ...]
-    rows: tuple[tuple[int, ...], ...]
+    rows: tuple[bytes, ...]
 
     def __post_init__(self) -> None:
         if len(set(self.row_keys)) != len(self.row_keys) or len(set(self.col_keys)) != len(self.col_keys):
@@ -55,14 +67,21 @@ class TriMatrix:
         if len(self.rows) != len(self.row_keys):
             raise DomainError("row count does not match row keys")
         for row in self.rows:
+            if type(row) is not bytes:
+                raise DomainError("matrix rows must be bytes; TriMatrix.build takes rows of ints")
             if len(row) != len(self.col_keys):
                 raise DomainError("row length does not match column keys")
-            if not set(row) <= _SYMBOLS.keys():
-                raise DomainError("matrix entries must be 0, 1, 2 or RED")
+            if row.translate(None, _CELLS):
+                raise DomainError(_BAD_ENTRY)
 
     @staticmethod
     def build(row_keys: Iterable[str], col_keys: Iterable[str], rows: Iterable[Iterable[int]]) -> "TriMatrix":
-        return TriMatrix(tuple(row_keys), tuple(col_keys), tuple(tuple(r) for r in rows))
+        """The matrix whose rows hold the given ints, each row stored as ``bytes``."""
+        try:
+            cells = tuple(map(bytes, rows))
+        except (TypeError, ValueError) as exc:  # a non-int, or an int outside 0..255
+            raise DomainError(_BAD_ENTRY) from exc
+        return TriMatrix(tuple(row_keys), tuple(col_keys), cells)
 
     @cached_property
     def _row_pos(self) -> dict[str, int]:
@@ -79,31 +98,40 @@ class TriMatrix:
         return (len(self.row_keys), len(self.col_keys))
 
     def transpose(self) -> "TriMatrix":
-        return TriMatrix(self.col_keys, self.row_keys, tuple(zip(*self.rows)) if self.rows else ())
+        cols = tuple(map(bytes, zip(*self.rows))) if self.rows else (b"",) * len(self.col_keys)
+        return TriMatrix(self.col_keys, self.row_keys, cols)
 
     def permuted(self, row_order: Sequence[int], col_order: Sequence[int]) -> "TriMatrix":
         return TriMatrix(
             tuple(self.row_keys[i] for i in row_order),
             tuple(self.col_keys[j] for j in col_order),
-            tuple(tuple(self.rows[i][j] for j in col_order) for i in row_order),
+            tuple(bytes(map(self.rows[i].__getitem__, col_order)) for i in row_order),
         )
 
 
 def adjacency_matrix(g: Graph) -> TriMatrix:
     """0/1 adjacency matrix with rows and columns sorted by vertex id."""
     keys = tuple(sorted(g.vertices))
-    rows = tuple(tuple(1 if g.has_edge(u, v) else 0 for v in keys) for u in keys)
+    rows = tuple(bytes(1 if g.has_edge(u, v) else 0 for v in keys) for u in keys)
     return TriMatrix(keys, keys, rows)
 
 
+def row_text(row: bytes) -> str:
+    """A row's symbols, ``0``, ``1``, ``2`` or ``r`` per cell."""
+    return row.translate(_TO_TEXT).decode()
+
+
+def matrix_lines(m: TriMatrix) -> Iterator[str]:
+    """The ``.mat`` text, one line at a time: the header, the two key lines, then each row."""
+    yield f"matrix {len(m.row_keys)} {len(m.col_keys)}\n"
+    yield " ".join(m.row_keys) + "\n"
+    yield " ".join(m.col_keys) + "\n"
+    for row in m.rows:
+        yield row_text(row) + "\n"
+
+
 def matrix_to_text(m: TriMatrix) -> str:
-    lines = [
-        f"matrix {len(m.row_keys)} {len(m.col_keys)}",
-        " ".join(m.row_keys),
-        " ".join(m.col_keys),
-    ]
-    lines.extend(bytes(row).translate(_TO_TEXT).decode() for row in m.rows)
-    return "\n".join(lines) + "\n"
+    return "".join(matrix_lines(m))
 
 
 def matrix_from_text(text: str) -> TriMatrix:
@@ -128,11 +156,13 @@ def matrix_from_text(text: str) -> TriMatrix:
         raise FormatError("matrix body does not match the header row count")
     rows = []
     for ln in body:
-        if len(ln) != nc or any(ch not in _VALUES for ch in ln):
+        # one byte per character: a character past Latin-1 becomes "?", which is no symbol
+        row = ln.encode("latin-1", "replace").translate(_FROM_TEXT)
+        if len(row) != nc or row.translate(None, _CELLS):
             raise FormatError(f"bad matrix row: {ln!r}")
-        rows.append(tuple(_VALUES[ch] for ch in ln))
+        rows.append(row)
     if not nc:
-        rows = [()] * nr
+        rows = [b""] * nr
     return TriMatrix(tuple(row_keys), tuple(col_keys), tuple(rows))
 
 
@@ -141,12 +171,7 @@ def matrix_from_text(text: str) -> TriMatrix:
 
 
 def red_number(m: TriMatrix) -> int:
-    best = 0
-    for row in m.rows:
-        best = max(best, sum(1 for v in row if v == RED))
-    for j in range(len(m.col_keys)):
-        best = max(best, sum(1 for row in m.rows if row[j] == RED))
-    return best
+    return max((line.count(RED) for line in itertools.chain(m.rows, zip(*m.rows))), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -322,17 +347,17 @@ def verify_division_mixed(m: TriMatrix, division: Division) -> bool:
 
 
 def permutation_matrix(word: Sequence[int]) -> TriMatrix:
-    """The 0/1 matrix with a 1 at (i, word[i]).
+    r"""The 0/1 matrix with a 1 at (i, word[i]).
 
     >>> permutation_matrix((2, 1)).rows
-    ((0, 1), (1, 0))
+    (b'\x00\x01', b'\x01\x00')
     """
     from .graphs import check_permutation
 
     w = check_permutation(word)
     p = len(w)
     keys = tuple(str(i) for i in range(1, p + 1))
-    rows = tuple(tuple(1 if w[i] == j + 1 else 0 for j in range(p)) for i in range(p))
+    rows = tuple(bytes(v - 1) + b"\x01" + bytes(p - v) for v in w)
     return TriMatrix(keys, keys, rows)
 
 

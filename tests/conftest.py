@@ -321,7 +321,7 @@ def oracle_interval_graph(intervals, kind: str) -> set[frozenset[str]]:
     return edges
 
 
-def reference_ilmatrix_rows(rep: IntervalLikeRep) -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]:
+def reference_ilmatrix_rows(rep: IntervalLikeRep) -> tuple[tuple[str, ...], tuple[bytes, ...]]:
     """Row keys and rows of the representation matrix, built cell by cell.
 
     This is the former ``build_ilmatrix`` loop, kept as a reference for the
@@ -344,7 +344,7 @@ def reference_ilmatrix_rows(rep: IntervalLikeRep) -> tuple[tuple[str, ...], tupl
                 row.append(1)
             else:
                 row.append(0)
-        rows.append(tuple(row))
+        rows.append(bytes(row))
     return tuple(pair_name(p) for p in all_rows), tuple(rows)
 
 

@@ -9,6 +9,8 @@ to the hash of the tuple of compared fields, the ``Name(field=value, ...)``
 repr over every field, and no assignment or deletion after construction.
 """
 
+import _blake2
+import hashlib
 import importlib
 import subprocess
 import sys
@@ -32,7 +34,7 @@ from twinwidth.trimatrix import Division, MatrixSolveResult, MixedMinorWitness, 
 
 _G = Graph(frozenset({"a", "b"}), frozenset({("a", "b")}))
 _STEP = ContractionStep("a", "b", "ab")
-_M = TriMatrix(("r",), ("c",), ((1,),))
+_M = TriMatrix(("r",), ("c",), (b"\x01",))
 _DIV = Division((("r",),), (("c",),))
 _REP = IntervalLikeRep(("x", "y"), frozenset({("x", "y")}), INTERVAL)
 _SUB = PermSubmatrixWitness(("r1", "r2"), ("c1", "c2"), (2, 1))
@@ -49,7 +51,7 @@ RECORDS = {
         (1, True, (_STEP,), 3),
         (1, False, (_STEP,), 3),
     ),
-    TriMatrix: (("row_keys", "col_keys", "rows"), (), (("r",), ("c",), ((1,),)), (("r",), ("c",), ((0,),))),
+    TriMatrix: (("row_keys", "col_keys", "rows"), (), (("r",), ("c",), (b"\x01",)), (("r",), ("c",), (b"\x00",))),
     Division: (("row_blocks", "col_blocks"), (), ((("r",),), (("c",),)), ((("r",),), (("c", "d"),))),
     MixedMinorWitness: (
         ("division", "zone_rows", "zone_cols"),
@@ -74,7 +76,7 @@ RECORDS = {
         ("matrix", "rep", "row_pairs"),
         ("row_pairs",),
         (_M, _REP, {"r": ("x", "y")}),
-        (TriMatrix(("r",), ("c",), ((0,),)), _REP, {"r": ("x", "y")}),
+        (TriMatrix(("r",), ("c",), (b"\x00",)), _REP, {"r": ("x", "y")}),
     ),
     PermSubmatrixWitness: (
         ("row_keys", "col_keys", "perm"),
@@ -226,7 +228,7 @@ def test_repr_lists_every_field(cls):
         (_KindNames(3), "_KindNames(size=3)"),
         (
             IlMatrix(_M, IntervalLikeRep(("x",), frozenset({("x", "x")}), OVERLAP), {"r": ("x", "x")}),
-            "IlMatrix(matrix=TriMatrix(row_keys=('r',), col_keys=('c',), rows=((1,),)), "
+            "IlMatrix(matrix=TriMatrix(row_keys=('r',), col_keys=('c',), rows=(b'\\x01',)), "
             "rep=IntervalLikeRep(ends=('x',), pairs=frozenset({('x', 'x')}), kind='overlap'), "
             "row_pairs={'r': ('x', 'x')})",
         ),
@@ -270,7 +272,7 @@ def test_uncompared_fields_ignored_by_eq_and_hash():
     "cls, values",
     [
         (Graph, (frozenset({"a"}), frozenset({("a", "a")}))),
-        (TriMatrix, (("r", "r"), ("c",), ((1,), (1,)))),
+        (TriMatrix, (("r", "r"), ("c",), (b"\x01", b"\x01"))),
         (Division, (((),), (("c",),))),
         (IntervalLikeRep, (("x",), frozenset(), "bogus")),
         (ChordDiagram, (("a",),)),
@@ -299,10 +301,22 @@ def test_classes_with_the_same_fields_differ(a, b):
     assert len({a, b}) == 2
 
 
-def test_cli_import_skips_dataclasses_and_inspect():
-    # a fresh interpreter: pytest itself has imported both modules here
+def cli_import_modules() -> set[str]:
+    """The modules of a fresh interpreter that imported the CLI; pytest itself has imported many more here."""
     code = "import sys, twinwidth.cli; print(*sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    modules = set(proc.stdout.split())
+    return set(proc.stdout.split())
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    modules = cli_import_modules()
     assert not {"dataclasses", "inspect"} & modules
+    assert {f"twinwidth.{home}" for home in SPAN_HOMES} <= modules
+
+
+def test_cli_import_skips_openssl():
+    # perturb's blake2b is hashlib's own, taken from _blake2 without the OpenSSL module _hashlib
+    assert hashlib.blake2b is _blake2.blake2b
+    modules = cli_import_modules()
+    assert not {"hashlib", "_hashlib"} & modules
     assert {f"twinwidth.{home}" for home in SPAN_HOMES} <= modules

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from twinwidth.errors import DomainError
+from twinwidth.errors import DomainError, FormatError
 from twinwidth.graphs import Graph
 from twinwidth.trimatrix import (
     RED,
@@ -60,7 +60,7 @@ def test_contract_identical_rows_no_red():
 
 def test_contract_identity_rows_all_red():
     m = TriMatrix.build(["x", "y"], ["c1", "c2"], [[1, 0], [0, 1]])
-    assert reference_merge(m, 0, "x", "y").rows[0] == (RED, RED)
+    assert reference_merge(m, 0, "x", "y").rows[0] == bytes((RED, RED))
     assert quotient_profile(m, [(0, 0, 1)])[0] == 2
 
 
@@ -210,8 +210,8 @@ def test_zone_witnesses_are_distinct_vectors():
 
 
 def test_permutation_matrix_examples():
-    assert permutation_matrix((1, 2)).rows == ((1, 0), (0, 1))
-    assert permutation_matrix((2, 1)).rows == ((0, 1), (1, 0))
+    assert permutation_matrix((1, 2)).rows == (b"\x01\x00", b"\x00\x01")
+    assert permutation_matrix((2, 1)).rows == (b"\x00\x01", b"\x01\x00")
     m = permutation_matrix((3, 1, 4, 2))
     for i, j in enumerate((3, 1, 4, 2)):
         assert m.rows[i][j - 1] == 1 and sum(m.rows[i]) == 1
@@ -230,6 +230,57 @@ def test_minor_free_ordering_trivial_cases():
     assert ordering_without_mixed_minor(one, 2) is not None
     zeros = TriMatrix.build([f"r{i}" for i in range(4)], [f"c{j}" for j in range(4)], [[0] * 4] * 4)
     assert ordering_without_mixed_minor(zeros, 2) is not None
+
+
+BAD_ENTRY = "matrix entries must be 0, 1, 2 or RED"
+
+
+@pytest.mark.parametrize("value", [4, 255])
+def test_byte_outside_the_cell_values_is_a_domain_error(value):
+    with pytest.raises(DomainError) as exc:
+        TriMatrix(("r",), ("a", "b"), (bytes((0, value)),))
+    assert str(exc.value) == BAD_ENTRY
+
+
+@pytest.mark.parametrize("value", [-1, 4, 256, "1", 1.5, None])
+def test_build_rejects_a_bad_entry_with_a_domain_error(value):
+    # never the ValueError or TypeError of the bytes conversion
+    with pytest.raises(DomainError) as exc:
+        TriMatrix.build(["r"], ["a", "b"], [[0, value]])
+    assert type(exc.value) is DomainError and str(exc.value) == BAD_ENTRY
+
+
+@pytest.mark.parametrize(
+    "row_keys, rows, message",
+    [
+        (["r", "s"], [[0, 1], [0]], "row length does not match column keys"),
+        (["r", "s"], [[0, 1]], "row count does not match row keys"),
+        (["r"], [[0, 1], [1, 0]], "row count does not match row keys"),
+        (["r", "r"], [[0, 1], [0, 1]], "duplicate row or column keys"),
+    ],
+)
+def test_ragged_rows_and_key_counts_keep_their_messages(row_keys, rows, message):
+    with pytest.raises(DomainError) as exc:
+        TriMatrix.build(row_keys, ["a", "b"], rows)
+    assert str(exc.value) == message
+
+
+def test_rows_are_bytes_however_the_matrix_is_built(demo5_graph):
+    m = TriMatrix.build(["r", "s"], ["a", "b", "c"], [[0, 1, RED], (2, 2, 0)])
+    assert m.rows == (bytes((0, 1, RED)), b"\x02\x02\x00")
+    made = [m, m.transpose(), m.permuted([1, 0], [2, 0, 1]), adjacency_matrix(demo5_graph), permutation_matrix((2, 3, 1)),
+            matrix_from_text(matrix_to_text(m)), TriMatrix.build([], ["a"], []).transpose()]
+    assert all(type(row) is bytes for x in made for row in x.rows)
+    assert m.transpose().transpose() == m == matrix_from_text(matrix_to_text(m))
+    with pytest.raises(DomainError, match="matrix rows must be bytes"):
+        TriMatrix(("r",), ("a",), ((1,),))
+
+
+@pytest.mark.parametrize("row", ["0x", "03", "0R", "0é", "0日", "0 ", "012"])
+def test_matrix_text_bad_character_is_a_format_error(row):
+    with pytest.raises(FormatError) as exc:
+        matrix_from_text(f"matrix 1 2\nr\na b\n{row}\n")
+    assert str(exc.value) == f"bad matrix row: {row!r}"
 
 
 def test_matrix_text_roundtrip(demo5_graph):
