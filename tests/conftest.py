@@ -21,7 +21,7 @@ from twinwidth.errors import DomainError
 from twinwidth.graphs import ContractionStep, Graph, _adjacency, _bits, _contract_masks
 from twinwidth.ilrep import INTERVAL, OVERLAP, IntervalLikeRep, decode, end_name, pair_name, rep_from_intervals, unify
 from twinwidth.solver import SolveResult, _contract_name
-from twinwidth.trimatrix import RED, TriMatrix, _discrete, _merge, _moves, _zone_mixed, red_number
+from twinwidth.trimatrix import RED, TriMatrix, _discrete, _merge, _moves, red_number
 
 DATA = Path(__file__).parent / "data"
 
@@ -363,8 +363,17 @@ def oracle_chord_crossings(sequence) -> set[frozenset[str]]:
 
 
 def oracle_mixed_minor(m: TriMatrix, k: int) -> bool:
-    """Full enumeration over both axes: does an all-mixed k-division exist?"""
+    """Full enumeration over both axes: does an all-mixed k-division exist?
+
+    A zone is mixed when, by the definition, it holds at least two distinct
+    row slices and at least two distinct column vectors.
+    """
     nr, nc = m.shape()
+
+    def mixed(r0: int, r1: int, c0: int, c1: int) -> bool:
+        row_slices = {tuple(m.rows[i][c0:c1]) for i in range(r0, r1)}
+        col_vectors = {tuple(m.rows[i][j] for i in range(r0, r1)) for j in range(c0, c1)}
+        return len(row_slices) >= 2 and len(col_vectors) >= 2
 
     def compositions(total: int, parts: int):
         if parts == 1:
@@ -386,7 +395,7 @@ def oracle_mixed_minor(m: TriMatrix, k: int) -> bool:
         rb = bounds(rsizes)
         for csizes in compositions(nc, k):
             cb = bounds(csizes)
-            if all(_zone_mixed(m, r0, r1, c0, c1) for r0, r1 in rb for c0, c1 in cb):
+            if all(mixed(r0, r1, c0, c1) for r0, r1 in rb for c0, c1 in cb):
                 return True
     return False
 
