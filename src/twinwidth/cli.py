@@ -40,15 +40,23 @@ def _emit_json(payload: dict) -> None:
     than the graph.  So the object is written one top-level key at a time.
     A value is dumped on its own and indented one more level after each
     newline, which is exact because JSON escapes every newline inside a
-    string.  A ``graphs.Graph`` value stands for that graph's sorted edge
-    list and is written one ``graphs.edge_rows`` row at a time, each vertex
-    name encoded once by the string encoder ``json.dumps`` uses.
+    string.  A nonempty list of strings is written one item per write, and a
+    ``graphs.Graph`` value stands for that graph's sorted edge list and is
+    written one ``graphs.edge_rows`` row at a time; both encode each string
+    once by the string encoder ``json.dumps`` uses.
     """
     out = sys.stdout
     sep = "{\n  "
     for key, value in payload.items():
         out.write(f"{sep}{encode_basestring_ascii(key)}: ")
         sep = ",\n  "
+        if isinstance(value, list) and value and all(type(item) is str for item in value):
+            lead = "[\n    "
+            for item in value:
+                out.write(lead + encode_basestring_ascii(item))
+                lead = ",\n    "
+            out.write("\n  ]")
+            continue
         if not isinstance(value, graphs.Graph):
             out.write(json.dumps(value, indent=2).replace("\n", "\n  "))
             continue

@@ -10,7 +10,10 @@ rows disagreed into RED; columns symmetrically.  The red number of a matrix
 is the maximum count of RED entries over all rows and columns.  A k-mixed
 minor is a division of the (ordered) matrix into k consecutive row blocks
 and k consecutive column blocks such that every zone contains two distinct
-rows and two distinct columns.
+rows and two distinct columns.  ``find_mixed_minor`` fixes the blocks of the
+smaller axis from left to right and cuts the other axis greedily against each
+prefix, so a prefix that no cut fits is never extended; one zone rule,
+``_zone_split``, serves the search, its witness and ``verify_division_mixed``.
 
 Exact twin-width of matrices and of graphs (``solver.twinwidth_exact``) is
 one memoized walk of the partition lattice, ``_walk``.  Its state holds a
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, FormatError
@@ -211,41 +214,22 @@ class MixedMinorWitness:
         }
 
 
-def _zone_mixed(m: TriMatrix, r0: int, r1: int, c0: int, c1: int) -> bool:
-    if r1 - r0 < 2 or c1 - c0 < 2:
-        return False
-    first = m.rows[r0][c0:c1]
-    if all(m.rows[i][c0:c1] == first for i in range(r0 + 1, r1)):
-        return False
-    fc = tuple(m.rows[i][c0] for i in range(r0, r1))
-    return any(tuple(m.rows[i][j] for i in range(r0, r1)) != fc for j in range(c0 + 1, c1))
+def _zone_split(rows: Sequence[bytes], cols: Sequence[bytes], r0: int, r1: int, c0: int, c1: int) -> tuple[int, int] | None:
+    """The first row and the first column of the zone [r0, r1) x [c0, c1) that
+    differ from its first row and first column, or None if the zone is not mixed.
+
+    ``cols`` are the rows of the transpose, so both tests compare ``bytes`` slices.
+    """
+    first_row, first_col = rows[r0][c0:c1], cols[c0][r0:r1]
+    r = next((i for i in range(r0 + 1, r1) if rows[i][c0:c1] != first_row), None)
+    c = next((j for j in range(c0 + 1, c1) if cols[j][r0:r1] != first_col), None)
+    return None if r is None or c is None else (r, c)
 
 
-def _distinct_pair(vectors: list, keys: Sequence[str]) -> tuple[str, str] | None:
-    for i in range(1, len(vectors)):
-        if vectors[i] != vectors[0]:
-            return (keys[0], keys[i])
-    return None
-
-
-def _compositions(total: int, parts: int, minimum: int = 2):
-    """All splits of range(total) into `parts` consecutive blocks of size >= minimum."""
-    if total < parts * minimum:
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(minimum, total - (parts - 1) * minimum + 1):
-        for rest in _compositions(total - first, parts - 1, minimum):
-            yield (first,) + rest
-
-
-def _bounds(sizes: Sequence[int]) -> list[tuple[int, int]]:
-    out, pos = [], 0
-    for s in sizes:
-        out.append((pos, pos + s))
-        pos += s
-    return out
+def _bounds(blocks: Sequence[Sequence[str]]) -> list[tuple[int, int]]:
+    """The index range [start, end) of each of the consecutive blocks."""
+    ends = list(itertools.accumulate(map(len, blocks)))
+    return list(zip([0, *ends], ends))
 
 
 def _greedy_axis(mixed, n: int, k: int, fixed_bounds: list[tuple[int, int]]) -> list[tuple[int, int]] | None:
@@ -275,71 +259,68 @@ def _greedy_axis(mixed, n: int, k: int, fixed_bounds: list[tuple[int, int]]) -> 
 
 
 def find_mixed_minor(m: TriMatrix, k: int) -> MixedMinorWitness | None:
-    """Search all k-by-k divisions for one whose zones are all mixed.
+    """The first k-by-k division whose zones are all mixed, or None.
 
-    Enumerates compositions of the smaller axis (blocks of size >= 2, forced
-    by mixedness) and closes the other axis greedily, which is equivalent to
-    enumerating both axes.
+    Every block of a mixed division has at least two lines.  The blocks of
+    the smaller axis (columns on a tie) are fixed depth-first from left to
+    right, each size in increasing order, and the other axis is cut by the
+    complete greedy ``_greedy_axis`` against the blocks fixed so far.  A
+    prefix the greedy rejects is not extended: an all-mixed division,
+    restricted to its first t fixed blocks, is still all-mixed against them.
+    So the search meets the splits of the smaller axis in the order of
+    listing them all, skips only subtrees that hold no division, and returns
+    the division that closing each listed split with the greedy in turn
+    would find first.
     """
     if k < 1:
         raise DomainError("k must be at least 1")
     nr, nc = m.shape()
     if nr < 2 * k or nc < 2 * k:
         return None
+    rows, cols = m.rows, m.transpose().rows
+    split = cache(lambda r0, r1, c0, c1: _zone_split(rows, cols, r0, r1, c0, c1))
+    cols_fixed = nc <= nr
+    total, other = (nc, nr) if cols_fixed else (nr, nc)
+    mixed = split if cols_fixed else lambda a0, a1, b0, b1: split(b0, b1, a0, a1)
 
-    memo: dict[tuple[int, int, int, int], bool] = {}
+    def extend(fixed: list[tuple[int, int]]):
+        """The first division whose fixed axis starts with these blocks, as (fixed, free) bounds."""
+        free = _greedy_axis(mixed, other, k, fixed)
+        if free is None:
+            return None
+        if len(fixed) == k:
+            return fixed, free
+        start = fixed[-1][1] if fixed else 0
+        after = 2 * (k - len(fixed) - 1)  # the least room the blocks after the next one need
+        for end in range(start + 2, total - after + 1) if after else [total]:
+            if found := extend(fixed + [(start, end)]):
+                return found
+        return None
 
-    def mixed_rc(r0: int, r1: int, c0: int, c1: int) -> bool:
-        key = (r0, r1, c0, c1)
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = _zone_mixed(m, r0, r1, c0, c1)
-        return hit
-
-    enumerate_cols = nc <= nr
-    total = nc if enumerate_cols else nr
-    other = nr if enumerate_cols else nc
-
-    for sizes in _compositions(total, k):
-        fixed = _bounds(sizes)
-        if enumerate_cols:
-            free = _greedy_axis(lambda a, b, c0, c1: mixed_rc(a, b, c0, c1), other, k, fixed)
-            if free is not None:
-                return _build_witness(m, free, fixed)
-        else:
-            free = _greedy_axis(lambda a, b, c0, c1: mixed_rc(c0, c1, a, b), other, k, fixed)
-            if free is not None:
-                return _build_witness(m, fixed, free)
-    return None
-
-
-def _build_witness(m: TriMatrix, row_bounds: list[tuple[int, int]], col_bounds: list[tuple[int, int]]) -> MixedMinorWitness:
-    row_blocks = tuple(tuple(m.row_keys[r0:r1]) for r0, r1 in row_bounds)
-    col_blocks = tuple(tuple(m.col_keys[c0:c1]) for c0, c1 in col_bounds)
-    zone_rows: dict[tuple[int, int], tuple[str, str]] = {}
-    zone_cols: dict[tuple[int, int], tuple[str, str]] = {}
-    for i, (r0, r1) in enumerate(row_bounds):
-        for j, (c0, c1) in enumerate(col_bounds):
-            rvecs = [m.rows[r][c0:c1] for r in range(r0, r1)]
-            cvecs = [tuple(m.rows[r][c] for r in range(r0, r1)) for c in range(c0, c1)]
-            rpair = _distinct_pair(rvecs, m.row_keys[r0:r1])
-            cpair = _distinct_pair(cvecs, m.col_keys[c0:c1])
-            if rpair is None or cpair is None:
-                raise DomainError("division has a non-mixed zone")
-            zone_rows[(i, j)] = rpair
-            zone_cols[(i, j)] = cpair
-    return MixedMinorWitness(Division(row_blocks, col_blocks), zone_rows, zone_cols)
+    found = extend([])
+    if found is None:
+        return None
+    fixed, free = found
+    row_bounds, col_bounds = (free, fixed) if cols_fixed else (fixed, free)
+    zones = {
+        (i, j): split(r0, r1, c0, c1) for i, (r0, r1) in enumerate(row_bounds) for j, (c0, c1) in enumerate(col_bounds)
+    }
+    return MixedMinorWitness(
+        Division(tuple(m.row_keys[a:b] for a, b in row_bounds), tuple(m.col_keys[a:b] for a, b in col_bounds)),
+        {(i, j): (m.row_keys[row_bounds[i][0]], m.row_keys[r]) for (i, j), (r, _) in zones.items()},
+        {(i, j): (m.col_keys[col_bounds[j][0]], m.col_keys[c]) for (i, j), (_, c) in zones.items()},
+    )
 
 
 def verify_division_mixed(m: TriMatrix, division: Division) -> bool:
     """True iff every zone of the division is mixed (independent re-check)."""
-    rb = _bounds([len(b) for b in division.row_blocks])
-    cb = _bounds([len(b) for b in division.col_blocks])
+    rb, cb = _bounds(division.row_blocks), _bounds(division.col_blocks)
     expected_rows = tuple(itertools.chain.from_iterable(division.row_blocks))
     expected_cols = tuple(itertools.chain.from_iterable(division.col_blocks))
     if expected_rows != m.row_keys or expected_cols != m.col_keys:
         return False
-    return all(_zone_mixed(m, r0, r1, c0, c1) for r0, r1 in rb for c0, c1 in cb)
+    cols = m.transpose().rows
+    return all(_zone_split(m.rows, cols, r0, r1, c0, c1) for r0, r1 in rb for c0, c1 in cb)
 
 
 # ---------------------------------------------------------------------------

@@ -428,12 +428,12 @@ def test_closed_output_pipe_is_one_error_line():
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("command, first", [("decode", b"g"), ("ilmatrix", b"m")])
+@pytest.mark.parametrize("command, first", [("decode", b"g"), ("ilmatrix", b"m"), ("ilmatrix --json", b"{")])
 def test_closed_output_pipe_row_streamed(intervals1000, command, first, unbuffered, monkeypatch):
-    # about 3 MB of text each, written row by row: the pipe fills long before the end.  Unbuffered,
-    # one write of the whole text would end in a short write that TextIOWrapper drops without an error.
+    # about 3 MB each, written row by row: the pipe fills long before the end.  Unbuffered, one
+    # write of the whole text would end in a short write that TextIOWrapper drops without an error.
     monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
-    assert_closed_pipe_is_one_error_line([command, "--intervals", str(intervals1000)], first)
+    assert_closed_pipe_is_one_error_line([*command.split(), "--intervals", str(intervals1000)], first)
 
 
 # sha256 of `generate hplus-interval --pi 1 --json` (768 vertices, 163 712 edges)

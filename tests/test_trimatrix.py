@@ -1,13 +1,24 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 
 import pytest
 
 from twinwidth.errors import DomainError, FormatError
 from twinwidth.graphs import Graph
-from twinwidth.ilrep import INTERVAL, OVERLAP, ChordDiagram, build_ilmatrix, condense, rep_from_chords, rep_from_intervals
+from twinwidth import trimatrix
+from twinwidth.ilrep import (
+    INTERVAL,
+    OVERLAP,
+    ChordDiagram,
+    build_ilmatrix,
+    condense,
+    intervals_from_text,
+    rep_from_chords,
+    rep_from_intervals,
+)
 from twinwidth.trimatrix import (
     RED,
     TriMatrix,
@@ -25,7 +36,7 @@ from twinwidth.trimatrix import (
     verify_division_mixed,
 )
 from twinwidth.solver import ordering_without_mixed_minor
-from conftest import DATA, oracle_mixed_minor, reference_merge, reference_symmetric_reds
+from conftest import DATA, oracle_mixed_minor, reference_merge, reference_symmetric_reds, seeded_intervals_text
 
 
 def random_matrix(rng, nr, nc, symbols=(0, 1)):
@@ -226,6 +237,19 @@ def test_mixed_minor_witnesses_pinned():
             lines.append(json.dumps(None if w is None else w.to_json()))
     assert len(lines) - lines.count("null") == FOUND
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == WITNESS_SHA256
+
+
+@pytest.mark.parametrize("k, calls", [(5, 359), (7, 69)])
+def test_mixed_minor_search_skips_prefixes_no_cut_fits(monkeypatch, k, calls):
+    # the condensed seeded 40-interval model is 62 x 26 and has no 5- or 7-division; splitting its
+    # 26 columns every way into k blocks of two or more would run the greedy 4 845 or 18 564 times
+    rep = rep_from_intervals(intervals_from_text(seeded_intervals_text(40, seed=3)), INTERVAL)
+    m = build_ilmatrix(condense(rep)).matrix
+    assert m.shape() == (62, 26)
+    greedy, counted = trimatrix._greedy_axis, []
+    monkeypatch.setattr(trimatrix, "_greedy_axis", lambda *args: counted.append(k) or greedy(*args))
+    assert find_mixed_minor(m, k) is None
+    assert len(counted) == calls < math.comb(26 - k - 1, k - 1)
 
 
 def test_zone_witnesses_are_distinct_vectors():
