@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from twinwidth import fologic, graphs, ilrep, obstruction, perturb, solver, trimatrix
 from twinwidth.cli import run
-from conftest import DATA, nested_sentence, quantifier_chain
+from conftest import DATA, nested_sentence, quantifier_chain, seeded_intervals_text
 
 GOLDEN = DATA / "golden"
 SCHEMAS = Path(__file__).parent.parent / "docs" / "schemas"
@@ -478,6 +478,33 @@ def test_bulk_outputs_pinned(intervals1000, command):
     code, out = run_stdout([*command.split(), "--intervals", str(intervals1000)])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == BULK_SHA256[command]
+
+
+# sha256 of `condense --json` on seeded_intervals_text(200, seed=3), per kind
+CONDENSE200_SHA256 = {
+    "interval": "72721b68d6ab88e98b89650f7db3eb42964964713a0ac06daa5e222468a9dcde",
+    "overlap": "bbdf413c6a74b3e553192d6252a9f6e966deb3bca5bfefc506d9b3693d13bcfa",
+}
+
+
+@pytest.mark.parametrize("kind", CONDENSE200_SHA256)
+def test_condense_json_pinned(tmp_path, kind):
+    path = tmp_path / "m200.ivl"
+    path.write_text(seeded_intervals_text(200, seed=3))
+    code, out = run_stdout(["condense", "--intervals", str(path), "--kind", kind, "--json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CONDENSE200_SHA256[kind]
+
+
+@pytest.mark.parametrize("text", ["", "i a 0 2\n", "i a 0 2\ni b 1 3\ni c 1 1\n"], ids=["empty", "one", "three"])
+def test_ilmatrix_json_matches_json_dumps(tmp_path, text):
+    path = tmp_path / "in.ivl"
+    path.write_text(text)
+    m = ilrep.build_ilmatrix(ilrep.rep_from_intervals(ilrep.intervals_from_text(text), ilrep.INTERVAL)).matrix
+    payload = {"rows": list(m.row_keys), "cols": list(m.col_keys), "entries": list(map(trimatrix.row_text, m.rows))}
+    code, out = run_stdout(["ilmatrix", "--intervals", str(path), "--json"])
+    assert code == 0
+    assert out == json.dumps(payload, indent=2) + "\n"
 
 
 def test_golden_perturb_escaped_names():
