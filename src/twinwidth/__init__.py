@@ -19,7 +19,6 @@ from .ilrep import (
     condense,
     decode,
     decode_from_matrix,
-    recognize_interval,
     rep_from_chords,
     rep_from_intervals,
     unify,
@@ -70,7 +69,6 @@ from .fologic import (
     evaluate,
     interpret,
     modelcheck_direct,
-    modelcheck_interval_graph,
     modelcheck_pipeline,
     parse_formula,
     rewrite,

@@ -40,9 +40,10 @@ def _emit_json(payload: dict) -> None:
     than the graph.  So the object is written one top-level key at a time.
     A value is dumped on its own and indented one more level after each
     newline, which is exact because JSON escapes every newline inside a
-    string.  A nonempty list of strings is written one item per write, and a
+    string.  A nonempty list of strings, or a ``map`` yielding strings, is
+    written one item per write, so a ``map`` is never held whole; a
     ``graphs.Graph`` value stands for that graph's sorted edge list and is
-    written one ``graphs.edge_rows`` row at a time; both encode each string
+    written one ``graphs.edge_rows`` row at a time.  Both encode each string
     once by the string encoder ``json.dumps`` uses.
     """
     out = sys.stdout
@@ -50,12 +51,12 @@ def _emit_json(payload: dict) -> None:
     for key, value in payload.items():
         out.write(f"{sep}{encode_basestring_ascii(key)}: ")
         sep = ",\n  "
-        if isinstance(value, list) and value and all(type(item) is str for item in value):
+        if isinstance(value, map) or (isinstance(value, list) and value and all(type(item) is str for item in value)):
             lead = "[\n    "
             for item in value:
                 out.write(lead + encode_basestring_ascii(item))
                 lead = ",\n    "
-            out.write("\n  ]")
+            out.write("[]" if lead == "[\n    " else "\n  ]")
             continue
         if not isinstance(value, graphs.Graph):
             out.write(json.dumps(value, indent=2).replace("\n", "\n  "))
@@ -131,7 +132,7 @@ def _cmd_ilmatrix(args) -> int:
             {
                 "rows": list(ilm.matrix.row_keys),
                 "cols": list(ilm.matrix.col_keys),
-                "entries": list(map(trimatrix.row_text, ilm.matrix.rows)),
+                "entries": map(trimatrix.row_text, ilm.matrix.rows),  # translated as written
             }
         )
     else:

@@ -32,9 +32,7 @@ from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded, DomainError, FormatError
 from .graphs import Graph, permutation_from_orders
-from .ilrep import (
-    INTERVAL, OVERLAP, IlMatrix, IntervalLikeRep, build_ilmatrix, condense, decode, recognize_interval, rep_from_intervals
-)
+from .ilrep import INTERVAL, OVERLAP, IlMatrix, IntervalLikeRep, build_ilmatrix, condense, decode
 from .records import record
 
 DEFAULT_EVAL_BUDGET = 10_000_000
@@ -636,14 +634,3 @@ def modelcheck_direct(rep: IntervalLikeRep, f: Formula, budget: int = DEFAULT_EV
     """Oracle path: evaluate on the decoded graph itself."""
     return evaluate(graph_structure(decode(rep)), f, budget)
 
-
-def modelcheck_interval_graph(g: Graph, f: Formula, budget: int = DEFAULT_EVAL_BUDGET) -> bool:
-    """Pipeline entry for a bare interval graph: recognize a model first.
-
-    Sentences are isomorphism-invariant, so answering on the recognized
-    model's decoding answers for g.
-    """
-    model = recognize_interval(g)
-    if model is None:
-        raise DomainError("graph is not an interval graph")
-    return modelcheck_pipeline(rep_from_intervals(model, INTERVAL), f, budget)

@@ -18,13 +18,12 @@ Each row is a ``bytes`` object, one byte per cell, built from whole slabs.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import CapExceeded, DomainError, FormatError
+from .errors import DomainError, FormatError
 from .graphs import Graph
 from .records import record
 from .trimatrix import RED, TriMatrix
@@ -290,86 +289,42 @@ def condense(rep: IntervalLikeRep) -> IntervalLikeRep:
     s1 < s2 only adds edges, and only between a pair with an end at s1 and
     one with an end at s2, which now share an end and so are adjacent.  The
     graph is kept iff every such cross pair was adjacent already.  Legality
-    likewise involves only the pairs at s1 or s2.  So each pass decodes once
-    and checks each candidate on the pairs at its two ends; no isomorphism
-    search is needed, and there is no vertex cap.
+    likewise involves only the pairs at s1 or s2.  Every merge made keeps
+    the edge set, so the input is decoded once, and a current pair is
+    adjacent exactly where its original pair is; no isomorphism search is
+    needed, and there is no vertex cap.
 
-    The scan runs left to right and restarts after every success, so the
-    result is deterministic; condensed forms are generally not unique.
+    The scan runs left to right, and after a merge at positions i, i+1 it
+    resumes at i-1.  That makes the same merges as restarting at 0: a
+    candidate j < i-1 that failed still fails.  Its ends are not merged, so
+    it sees the same pairs, whose adjacency is unchanged; and a collision it
+    had persists, because the merge at i is injective on pairs and commutes
+    with the merge at j.  So the result is deterministic; condensed forms
+    are generally not unique.
     """
-    changed = True
-    while changed:
-        changed = False
-        g = decode(rep)
-        at: list[list[tuple[str, str]]] = [[] for _ in rep.ends]  # the pairs with an end at each rank
-        for s, t in rep.pairs:
-            at[rep.rank[s]].append((s, t))
-            if t != s:
-                at[rep.rank[t]].append((s, t))
-        for i in range(len(rep.ends) - 1):
-            s1, s2 = rep.ends[i], rep.ends[i + 1]
-            # unify's legality test, on the only pairs that can collide
-            near = set(at[i] + at[i + 1])
-            if len({(s1 if a == s2 else a, s1 if b == s2 else b) for a, b in near}) < len(near):
-                continue
-            if all(p == q or g.has_edge(pair_name(p), pair_name(q)) for p in at[i] for q in at[i + 1]):
-                rep = unify(rep, s1, s2)[0]
-                changed = True
-                break
-    return rep
-
-
-# ---------------------------------------------------------------------------
-# interval recognition (stopgap; exhaustive over maximal-clique orders)
-
-
-def _maximal_cliques(g: Graph) -> list[frozenset[str]]:
-    cliques: list[frozenset[str]] = []
-
-    def bron_kerbosch(r: set[str], p: set[str], x: set[str]) -> None:
-        if not p and not x:
-            cliques.append(frozenset(r))
-            return
-        pivot = max(p | x, key=lambda v: len(g.neighbors(v) & p))
-        for v in sorted(p - g.neighbors(pivot)):
-            bron_kerbosch(r | {v}, p & g.neighbors(v), x & g.neighbors(v))
-            p.remove(v)
-            x.add(v)
-
-    if g.vertices:
-        bron_kerbosch(set(), set(g.vertices), set())
-    return cliques
-
-
-def recognize_interval(g: Graph, clique_cap: int = 8) -> list[tuple[str, Fraction, Fraction]] | None:
-    """An interval model of g, or None if g is not an interval graph.
-
-    Brute-forces a consecutive ordering of the maximal cliques, so it is a
-    desk-scale stopgap, not a linear-time recognizer.  Endpoints are padded
-    so that no two intervals coincide and no two distinct values collide.
-    """
-    if not g.vertices:
-        return []
-    cliques = _maximal_cliques(g)
-    if len(cliques) > clique_cap:
-        raise CapExceeded(f"recognition cap: {len(cliques)} maximal cliques > {clique_cap}")
-    vs = sorted(g.vertices)
-    for order in itertools.permutations(range(len(cliques))):
-        spans = {}
-        ok = True
-        for v in vs:
-            positions = [i for i, ci in enumerate(order) if v in cliques[ci]]
-            if positions[-1] - positions[0] + 1 != len(positions):
-                ok = False
-                break
-            spans[v] = (positions[0], positions[-1])
-        if ok:
-            pad = Fraction(1, 2 * len(vs) + 2)
-            return [
-                (v, spans[v][0] - (i + 1) * pad, spans[v][1] + (i + 1) * pad)
-                for i, v in enumerate(vs)
-            ]
-    return None
+    g = decode(rep)
+    ends = list(rep.ends)
+    now = {p: p for p in rep.pairs}  # each original pair -> its current pair
+    at: list[set[tuple[str, str]]] = [set() for _ in ends]  # the original pairs with an end at each position
+    for p in rep.pairs:
+        at[rep.rank[p[0]]].add(p)
+        at[rep.rank[p[1]]].add(p)
+    i = 0
+    while i < len(ends) - 1:
+        s1, s2 = ends[i], ends[i + 1]
+        near = at[i] | at[i + 1]
+        merged = {p: tuple(s1 if e == s2 else e for e in now[p]) for p in near}
+        # unify's legality test, on the only pairs that can collide
+        if len(set(merged.values())) < len(near) or not all(
+            p == q or g.has_edge(pair_name(p), pair_name(q)) for p in at[i] for q in at[i + 1]
+        ):
+            i += 1
+            continue
+        now.update(merged)
+        at[i] = near
+        del at[i + 1], ends[i + 1]
+        i = max(i - 1, 0)
+    return IntervalLikeRep(tuple(ends), frozenset(now.values()), rep.kind)
 
 
 # ---------------------------------------------------------------------------

@@ -465,11 +465,14 @@ def test_hplus_interval_json_bytes_pinned():
 
 
 # sha256 of the output on the seeded 1 000-interval model: a 2 304 x 1 309 overlap
-# matrix, as text and as JSON, and the interval graph's 149 826 edges as .g text
+# matrix, as text and as JSON, the interval graph's 149 826 edges as .g text, and
+# both kinds' condensed representations as JSON
 BULK_SHA256 = {
     "ilmatrix --kind overlap": "651fc6c228743bc1544614b0816081d08cea18d61d826f6ae84c30dad3c8632e",
     "ilmatrix --kind overlap --json": "9f785a88620c7deadf5a115d54ae036481f5df77bbdcb75fdde3562b64ac301a",
     "decode --kind interval": "36c5bafd14617cee0e55039631a79c806a9a81c7d7ccf35cdc0f2f53db42b77a",
+    "condense --kind interval --json": "c57a19ec0ab6de577cf2f64df38fcb33ce924b7aa95e15d0c81cec86bf01c660",
+    "condense --kind overlap --json": "da1e04d69c33076e9514fd6fbcf30813ecd199b4af21e6962f78ba9ed3623139",
 }
 
 

@@ -442,17 +442,6 @@ def test_transduction_image_contains_exposed_permutation():
     assert (2, 1) in got
 
 
-def test_modelcheck_interval_graph_entrypoint(demo6_rep):
-    from twinwidth.fologic import modelcheck_interval_graph
-
-    g = decode(demo6_rep)
-    dominating = parse_formula("(exists x (forall y (or (= x y) (edge x y))))")
-    assert modelcheck_interval_graph(g, dominating) == evaluate(graph_structure(g), dominating)
-    c4 = Graph.build("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
-    with pytest.raises(DomainError):
-        modelcheck_interval_graph(c4, dominating)
-
-
 def test_modelcheck_pipeline_matches_direct(demo6_rep, demo6_rep_overlap):
     dominating = parse_formula("(exists x (forall y (or (= x y) (edge x y))))")
     assert modelcheck_pipeline(demo6_rep, dominating) == modelcheck_direct(demo6_rep, dominating)

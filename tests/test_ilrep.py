@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+from twinwidth import ilrep
 from twinwidth.errors import DomainError
-from twinwidth.graphs import Graph, is_isomorphic
+from twinwidth.graphs import is_isomorphic
 from twinwidth.ilrep import (
     INTERVAL,
     KINDS,
@@ -21,7 +22,6 @@ from twinwidth.ilrep import (
     intervals_from_text,
     intervals_to_text,
     pair_name,
-    recognize_interval,
     rep_from_chords,
     rep_from_intervals,
     rep_to_intervals,
@@ -36,6 +36,7 @@ from conftest import (
     oracle_interval_graph,
     reference_condense,
     reference_ilmatrix_rows,
+    seeded_intervals_text,
 )
 
 
@@ -355,6 +356,17 @@ def test_condense_matches_reference():
     assert merges > 500
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_condense_decodes_once(monkeypatch, kind):
+    # every merge keeps the edge set, so the input's graph answers every adjacency test
+    rep = rep_from_intervals(intervals_from_text(seeded_intervals_text(200, seed=3)), kind)
+    calls = []
+    monkeypatch.setattr(ilrep, "decode", lambda r: calls.append(r) or decode(r))
+    out = condense(rep)
+    assert len(calls) == 1
+    assert len(out.ends) < len(rep.ends)
+
+
 def test_condense_has_no_vertex_cap():
     from twinwidth.obstruction import planted_mixed_minor_rep
 
@@ -385,21 +397,6 @@ def test_legal_unification_never_removes_an_edge():
             after = decode(merged)
             assert all(after.has_edge(name[u], name[v]) for u, v in before.edges)
     assert legal_merges > 100
-
-
-def test_recognize_interval_roundtrip():
-    rng = random.Random(10)
-    for _ in range(20):
-        intervals = random_intervals(rng, rng.randint(1, 6))
-        rep = rep_from_intervals(intervals, INTERVAL)
-        g = decode(rep)
-        model = recognize_interval(g)
-        assert model is not None
-        rebuilt = decode(rep_from_intervals(model, INTERVAL))
-        mapping = interval_vertex_map(model)
-        assert g.relabel(mapping) == rebuilt
-    c4 = Graph.build("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
-    assert recognize_interval(c4) is None
 
 
 def test_interval_text_roundtrip():
