@@ -390,6 +390,13 @@ def test_robustness_sample_count(capsys, case):
     assert json.loads(out)["scripts_tested"] == 0
 
 
+@pytest.mark.parametrize("case", ["circle", "interval"])
+def test_robustness_empty_pattern_is_one_error_line(capsys, case):
+    assert run(["robustness", "--case", case, "--pi", "", "-r", "0"]) == 1
+    got = capsys.readouterr()
+    assert (got.out, got.err) == ("", "error: base must be nonempty\n")
+
+
 @pytest.mark.parametrize("drop", ["--seq", "--claim", "--graph"])
 def test_tww_verify_needs_all_inputs(capsys, drop):
     inputs = {"--graph": str(DATA / "demo5.g"), "--seq": str(DATA / "demo5.seq"), "--claim": "2"}

@@ -1,8 +1,11 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
 
+from twinwidth import perturb
 from twinwidth.errors import CapExceeded, DomainError
 from twinwidth.graphs import Graph, is_isomorphic, permutation_graph
 from twinwidth.obstruction import check_exposes, generate_exposer
@@ -238,3 +241,36 @@ def test_robustness_report_json_shape():
     report = verify_robustness_circle(build_circle_gadget((1,), 0))
     payload = report.to_json()
     assert payload["case"] == "circle" and payload["failures"] == []
+
+
+def test_failure_scripts_are_pinned(monkeypatch):
+    # every script fails, so the report lists each drawn or enumerated script as written
+    monkeypatch.setattr(perturb, "_check_circle_script", lambda gadget, member: "forced")
+    sampled = verify_robustness_circle(build_circle_gadget((2, 1), 1), mode="sampled", samples=4, seed=9)
+    exhaustive = verify_robustness_circle(build_circle_gadget((1,), 1, exponent=2))
+    assert exhaustive.scripts_tested == 16
+    digests = [hashlib.sha256(json.dumps(r.to_json()).encode()).hexdigest() for r in (sampled, exhaustive)]
+    assert digests == [
+        "a50c26bcb471eef20d3226e7bf752c682f0b2f961ae1a89aad4be88c42dcb8b7",
+        "60d4807631ed0904b91c3b4e881070b4c182cb0f1ae2e262834af0420b6d0434",
+    ]
+
+
+def test_sampled_interval_membership_queries_are_pinned(monkeypatch):
+    # the hash inputs the interval check asks for, with the bit each drew; a
+    # passing report never shows them
+    queries = set()
+    real = perturb._hash_member
+
+    def spy(seed, script, which, vertex):
+        bit = real(seed, script, which, vertex)
+        queries.add((script, which, vertex, bit))
+        return bit
+
+    monkeypatch.setattr(perturb, "_hash_member", spy)
+    for word, r, samples in (((1,), 1, 3), ((2, 1), 1, 2), ((1,), 0, 2)):
+        report = verify_robustness_interval(build_interval_gadget(word, r), mode="sampled", samples=samples, seed=4)
+        assert report.scripts_tested == samples and not report.failures
+    assert len(queries) == 26556
+    digest = hashlib.sha256(repr(sorted(queries)).encode()).hexdigest()
+    assert digest == "ebcd084895c6a5d94b48e7e5a58926d289626e6d7a4db2a3798fd65a4c1a9579"
