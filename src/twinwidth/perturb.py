@@ -7,12 +7,13 @@ defining orders: a homogeneous copy of the base always survives every
 perturbation, because each perturbed set either contains the copy or misses
 it, so the induced subgraph is the base pattern or its exact complement.
 
-The homogeneous-set search follows the constructive induction: color the
-power tuples by their membership signature; either some color hits every
-first-coordinate slice (fix that coordinate free, pick witness suffixes), or
-some slice misses a color and the search recurses into it with one color
-fewer.  Certificates carry their prefix and suffix maps and are re-verified
-by direct membership.
+The homogeneous-set search follows the constructive induction on
+first-order ranks: color the ranks by their membership signature; either
+some color hits every slice of the next coordinate (leave that coordinate
+free and keep each slice's first rank of that color), or some slice misses a
+color and the search descends into it with one color fewer.  Every copy is
+re-verified by direct membership; ``find_homogeneous_set`` states it on
+tuples, with its prefix and suffix maps.
 
 The interval gadget doubles every ground element into a consecutive pair
 (consecutive in both orders).  When a perturbation complements a mate side,
@@ -22,17 +23,22 @@ therefore picks the smaller pair element as core representative and tries
 own/partner mates per side, then reads the surviving half of the doubled
 pattern.
 
-Both gadgets are lazy graphs with ``names()`` and ``adjacent(a, b)``: after a
-script, a pair is adjacent iff ``adjacent(a, b)`` XOR the parity of the script
-sets holding both ends, so verification builds no gadget and no perturbed copy.
+Both gadgets are lazy graphs on vertex indices.  A circle vertex's index is
+its first-order rank x, and its name is x + 1; an interval vertex's index is
+k * N + x for core rank x, with k = 0, 1, 2 for w, u, v.  Scripts test
+membership by index and ``adjacent(a, b)`` takes indices: after a script, a
+pair is adjacent iff ``adjacent(a, b)`` XOR the parity of the script sets
+holding both ends, so verification builds no gadget and no perturbed copy.
+Names (``names()[x]``) appear only at the edges: the sampled interval
+scripts' hash input, failure scripts and witness graphs.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections.abc import Callable, Iterable, Sequence
-from functools import cached_property
 
 # hashlib's own blake2b, without the OpenSSL module that importing hashlib loads
 from _blake2 import blake2b
@@ -94,6 +100,8 @@ class LexPowerOrders:
     def __post_init__(self) -> None:
         if sorted(map(repr, self.base)) != sorted(map(repr, self.base_second)):
             raise DomainError("the two base orders must list the same elements")
+        if len(set(self.base)) != len(self.base):
+            raise DomainError("base elements must be distinct")
         if self.exponent < 1:
             raise DomainError("exponent must be positive")
 
@@ -101,7 +109,7 @@ class LexPowerOrders:
     def size(self) -> int:
         return len(self.base) ** self.exponent
 
-    @cached_property
+    @functools.cached_property
     def _digits(self) -> tuple[dict, dict]:
         return tuple({x: i for i, x in enumerate(order)} for order in (self.base, self.base_second))
 
@@ -120,18 +128,24 @@ class LexPowerOrders:
             out.append(order[digit])
         return tuple(reversed(out))
 
+    def second_rank(self, rank: int) -> int:
+        """The second-order rank of the element at first-order ``rank``."""
+        return self.rank(self.unrank(rank), second=True)
+
+    def _word(self, ranks: Iterable[int]) -> tuple[int, ...]:
+        """The 1-based permutation both orders carry on ascending first-order ``ranks``; a copy of orders B gives B's."""
+        seconds = [self.second_rank(x) for x in ranks]
+        return tuple(k + 1 for k in sorted(range(len(seconds)), key=seconds.__getitem__))
+
     def permutation_word(self) -> tuple[int, ...]:
         """The permutation carried by the two power orders (1-based)."""
-        return tuple(self.rank(self.unrank(i, second=True)) + 1 for i in range(self.size))
+        return self._word(range(self.size))
 
     def restriction_is_order_isomorphic(self, elements: Sequence[tuple]) -> bool:
         """Both power orders restricted to ``elements`` match the base orders."""
-        if len(elements) != len(self.base):
-            return False
-        by_first = sorted(elements, key=self.rank)
-        by_second = sorted(elements, key=lambda e: self.rank(e, second=True))
-        pairing = dict(zip(by_first, self.base))
-        return [pairing[e] for e in by_second] == list(self.base_second)
+        ranks = sorted({self.rank(e) for e in elements})
+        base_word = tuple(self._digits[0][y] + 1 for y in self.base_second)
+        return len(ranks) == len(elements) and self._word(ranks) == base_word
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +162,45 @@ class HomogeneousSet:
     elements: frozenset
 
 
+def _homogeneous_ranks(b: int, exponent: int, members: Sequence[Callable[[int], bool]]) -> tuple[int, list[int]]:
+    """A homogeneous copy of range(b) inside range(b)^exponent, on first-order ranks.
+
+    Returns the depth of the free coordinate and one rank per digit y, each
+    at the slice of y under the fixed prefix.  Members answer 0/1 or a bool
+    for a rank; the caller checks exponent >= 2^len(members).
+    """
+    if b == 0:
+        raise DomainError("base must be nonempty")
+    palette_size = 1 << len(members)
+    prefix = 0  # the first-order rank of the fixed coordinates
+    for depth in range(exponent):
+        width = b ** (exponent - depth - 1)
+        firsts = []  # per slice: color -> the first rank of that color
+        for y in range(b):
+            start = (prefix * b + y) * width
+            seen: dict[int, int] = {}
+            for x in range(start, start + width):
+                color = 0
+                for m in members:
+                    color = 2 * color + m(x)
+                if color not in seen:
+                    seen[color] = x
+                    if len(seen) == palette_size:
+                        break
+            firsts.append(seen)
+        common = set(firsts[0]).intersection(*firsts[1:])
+        if common:
+            color = min(common)
+            ranks = [seen[color] for seen in firsts]
+            for m in members:
+                if len({m(x) for x in ranks}) != 1:
+                    raise ExtractionError("homogeneous set fails direct membership re-check")
+            return depth, ranks
+        palette = set().union(*firsts)
+        prefix = prefix * b + next(y for y, seen in enumerate(firsts) if len(seen) < len(palette))
+    raise ExtractionError("homogeneous search failed; exponent precondition violated")
+
+
 def find_homogeneous_set(
     base: Sequence,
     exponent: int,
@@ -161,57 +214,16 @@ def find_homogeneous_set(
     base = tuple(base)
     if not base:
         raise DomainError("base must be nonempty")
-    members: list[Callable[[tuple], bool]] = []
-    for x in sets:
-        members.append(x if callable(x) else frozenset(x).__contains__)
+    members = [x if callable(x) else frozenset(x).__contains__ for x in sets]
     if exponent < 2 ** len(members):
         raise DomainError(f"exponent {exponent} < 2^{len(members)}; the search may fail")
-    full_palette = 2 ** len(members)
-
-    def signature(element: tuple) -> tuple[bool, ...]:
-        return tuple(m(element) for m in members)
-
-    def search(prefix: tuple) -> tuple[tuple, dict]:
-        tail = exponent - len(prefix) - 1
-        slice_colors: dict = {}
-        for y in base:
-            seen: set = set()
-            for suffix in itertools.product(base, repeat=tail):
-                seen.add(signature(prefix + (y,) + suffix))
-                if len(seen) == full_palette:
-                    break
-            slice_colors[y] = seen
-        palette = set().union(*slice_colors.values())
-        common = set.intersection(*slice_colors.values())
-        if common:
-            color = min(common)
-            suffix_for = {}
-            for y in base:
-                for suffix in itertools.product(base, repeat=tail):
-                    if signature(prefix + (y,) + suffix) == color:
-                        suffix_for[y] = suffix
-                        break
-            return prefix, suffix_for
-        if tail == 0:
-            raise ExtractionError("homogeneous search failed; exponent precondition violated")
-        for y in base:
-            if slice_colors[y] < palette:
-                return search(prefix + (y,))
-        raise ExtractionError("homogeneous search failed; exponent precondition violated")
-
-    prefix, suffix_for = search(())
-    position = len(prefix) + 1
-    tail = exponent - position
-    suffixes = {position + 1 + j: {y: suffix_for[y][j] for y in base} for j in range(tail)}
-    elements = frozenset(prefix + (y,) + suffix_for[y] for y in base)
-    result = HomogeneousSet(position, prefix, suffixes, elements)
-
-    if len(elements) != len(base):
+    orders = LexPowerOrders(base, base, exponent)
+    depth, ranks = _homogeneous_ranks(len(base), exponent, [lambda x, m=m: bool(m(orders.unrank(x))) for m in members])
+    elements = [orders.unrank(x) for x in ranks]
+    if len(set(elements)) != len(base):
         raise ExtractionError("homogeneous set has the wrong size")
-    for m in members:
-        if len({m(e) for e in elements}) != 1:
-            raise ExtractionError("homogeneous set fails direct membership re-check")
-    return result
+    suffixes = {j + 1: {y: e[j] for y, e in zip(base, elements)} for j in range(depth + 1, exponent)}
+    return HomogeneousSet(depth + 1, elements[0][:depth], suffixes, frozenset(elements))
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +274,16 @@ def _gadget_orders(second: tuple, r: int, exponent: int | None, cap: int, noun: 
     return orders
 
 
-def _set_script(sets: Sequence[frozenset[str]], key: Callable | None):
-    """A script as the sweep runs it: member(i, vertex), and a thunk writing the script for a failure."""
-    return (lambda i, v: v in sets[i]), lambda: [sorted(x, key=key) for x in sets]
+def _mask_script(masks: Sequence[int], names: Sequence[str], key: Callable | None):
+    """A script as the sweep runs it: member(i, x) is bit x of mask i; a thunk writes the sets by name for a failure."""
+
+    def write():
+        return [sorted((names[x] for x in range(m.bit_length()) if m >> x & 1), key=key) for m in masks]
+
+    return (lambda i, x: masks[i] >> x & 1), write
 
 
-def _perturbed(adjacent: Callable[[str, str], bool], member: Callable[[int, str], bool], r: int):
+def _perturbed(adjacent: Callable[[int, int], bool], member: Callable[[int, int], int], r: int):
     """Adjacency after r sets: a pair flips once for every set holding both ends."""
     return lambda a, b: adjacent(a, b) ^ (sum(1 for i in range(r) if member(i, a) and member(i, b)) % 2 == 1)
 
@@ -281,7 +297,7 @@ def _sweep(case, sizes, gadget, check, exponent, draw, key, mode, samples, seed,
         if _power_exceeds(2, n * r, budget):
             raise CapExceeded(f"exhaustive mode needs 2^{n * r} scripts, budget is {budget}")
         all_masks = itertools.product(*(range(1 << n) for _ in range(r)))  # r == 0: the one empty script
-        scripts = (_set_script([frozenset(names[i] for i in range(n) if m >> i & 1) for m in ms], key) for ms in all_masks)
+        scripts = (_mask_script(masks, names, key) for masks in all_masks)
     elif mode == "sampled":
         if seed is None:
             raise DomainError("sampled mode needs a seed")
@@ -312,16 +328,15 @@ class CircleGadget:
     pi: tuple[int, ...]
     r: int
 
-    @cached_property
+    @functools.cached_property
     def graph(self) -> Graph:  # permutation graph of the power permutation; vertices "1".."N"
         return permutation_graph(self.word)
 
-    def names(self) -> list[str]:
+    def names(self) -> list[str]:  # vertex x is the first-order rank x, named x + 1
         return [str(i) for i in range(1, len(self.word) + 1)]
 
-    def adjacent(self, a: str, b: str) -> bool:
-        i, j = sorted((int(a), int(b)))
-        return self.word[i - 1] > self.word[j - 1]
+    def adjacent(self, a: int, b: int) -> bool:
+        return self.word[min(a, b)] > self.word[max(a, b)]
 
 
 def build_circle_gadget(
@@ -341,27 +356,24 @@ def build_circle_gadget(
     return CircleGadget(orders, orders.permutation_word(), w, r)
 
 
-def _check_circle_script(gadget: CircleGadget, member: Callable[[int, str], bool]) -> str | None:
-    """member(i, vertex name) gives the i-th perturbation set; None means success."""
-    orders = gadget.orders
-    sets = [(lambda i: (lambda z: member(i, str(orders.rank(z) + 1))))(i) for i in range(gadget.r)]
-    hs = find_homogeneous_set(orders.base, orders.exponent, sets)
-    elements = sorted(hs.elements, key=orders.rank)
-    if not orders.restriction_is_order_isomorphic(elements):
+def _check_circle_script(gadget: CircleGadget, member: Callable[[int, int], int]) -> str | None:
+    """member(i, vertex index) gives the i-th perturbation set; None means success."""
+    orders, r = gadget.orders, gadget.r
+    sets = [functools.partial(member, i) for i in range(r)]
+    _, copy = _homogeneous_ranks(len(orders.base), orders.exponent, sets)
+    doubled = orders.base_second  # the doubled word w = double_with_complement(pi), the base's own word
+    if orders._word(copy) != doubled:
         return "restricted orders not isomorphic to the base orders"
-    names = [str(orders.rank(z) + 1) for z in elements]
-    flips = sum(1 for i in range(gadget.r) if member(i, names[0])) % 2 == 1  # the copy is homogeneous
+    flips = sum(1 for i in range(r) if member(i, copy[0])) % 2 == 1  # the copy is homogeneous
 
     # The pair loop also certifies the surviving half under an explicit map
-    # onto permutation_graph(pi); w is the doubled word.  Unflipped, names[i]
-    # plays position i + 1, as w[i] = pi[i] for i < p.  Flipped, names[p + i]
-    # plays position p - i: w[p + i] = p + pi[p - 1 - i] is pi reversed, so an
-    # inversion of w there is a non-inversion of pi, and the flip complements
-    # it back.
-    adj = _perturbed(gadget.adjacent, member, gadget.r)
-    doubled = orders.base_second  # the doubled word w = double_with_complement(pi)
-    for i, j in itertools.combinations(range(len(names)), 2):
-        if adj(names[i], names[j]) != (doubled[i] > doubled[j]) ^ flips:
+    # onto permutation_graph(pi).  Unflipped, copy[i] plays position i + 1,
+    # as w[i] = pi[i] for i < p.  Flipped, copy[p + i] plays position p - i:
+    # w[p + i] = p + pi[p - 1 - i] is pi reversed, so an inversion of w there
+    # is a non-inversion of pi, and the flip complements it back.
+    adj = _perturbed(gadget.adjacent, member, r)
+    for i, j in itertools.combinations(range(len(copy)), 2):
+        if adj(copy[i], copy[j]) != (doubled[i] > doubled[j]) ^ flips:
             return "induced block is not the doubled pattern or its complement"
     return None
 
@@ -376,8 +388,9 @@ def verify_robustness_circle(
     """Every (or each sampled) perturbation must leave the target inside."""
     names, rng = gadget.names(), random.Random(seed)
 
-    def draw(_: int):
-        return _set_script([frozenset(v for v in names if rng.getrandbits(1)) for _ in range(gadget.r)], int)
+    def draw(_: int):  # one bit per vertex, in index order, for each set in turn
+        masks = [sum(rng.getrandbits(1) << x for x in range(len(names))) for _ in range(gadget.r)]
+        return _mask_script(masks, names, int)
 
     sizes = {"exponent": gadget.orders.exponent, "vertices": gadget.orders.size}
     return _sweep("circle", sizes, gadget, _check_circle_script, sizes["exponent"], draw, int, mode, samples, seed, budget)
@@ -413,27 +426,21 @@ class IntervalGadget:
     def size(self) -> int:
         return self.orders.size
 
-    def names(self) -> Sequence[str]:
+    def names(self) -> Sequence[str]:  # vertex k * size + x is core rank x of kind "wuv"[k]
         return _KindNames(self.size)
 
-    def second_rank(self, rank: int) -> int:
-        return self.orders.rank(self.orders.unrank(rank), second=True)
+    @functools.cached_property
+    def _u_word(self) -> tuple[int, ...]:  # U = T^u_power: a core rank is z_power digits of U ranks
+        return LexPowerOrders(self.orders.base, self.orders.base_second, self.u_power).permutation_word()
 
-    def adjacent(self, a: str, b: str) -> bool:
+    def adjacent(self, a: int, b: int) -> bool:
         """Canonical exposer adjacency: three cliques, threshold mates."""
-        if a == b:
+        (ka, ia), (kb, ib) = sorted((divmod(a, self.size), divmod(b, self.size)))
+        if ka == kb:
+            return a != b
+        if ka:  # u and v
             return False
-        fa, ia = a[0], int(a[1:]) - 1
-        fb, ib = b[0], int(b[1:]) - 1
-        if fa == fb:
-            return True
-        if {fa, fb} == {"u", "v"}:
-            return False
-        if fb == "w":
-            fa, ia, fb, ib = fb, ib, fa, ia
-        if fb == "u":
-            return ib <= ia
-        return self.second_rank(ib) <= self.second_rank(ia)
+        return ib <= ia if kb == 1 else self.orders.second_rank(ib) <= self.orders.second_rank(ia)
 
     def materialize(self, cap: int = DEFAULT_GADGET_CAP):
         if len(self.names()) > cap:
@@ -459,72 +466,57 @@ def build_interval_gadget(
     return IntervalGadget(orders, w, r, u_power, orders.exponent // u_power)
 
 
-def _check_interval_script(gadget: IntervalGadget, member: Callable[[int, str], bool]) -> str | None:
-    """member(i, vertex name) gives the i-th perturbation set; None means success."""
+def _check_interval_script(gadget: IntervalGadget, member: Callable[[int, int], int]) -> str | None:
+    """member(i, vertex index) gives the i-th perturbation set; None means success."""
     if gadget.u_power < 4:
         return "u_power below 4 cannot drive the second homogeneous step"
-    orders = gadget.orders
-    t_base = orders.base
-    u_orders = LexPowerOrders(t_base, orders.base_second, gadget.u_power)
-    u_elements = tuple(u_orders.unrank(i) for i in range(u_orders.size))
-    u_by_second = tuple(sorted(u_elements, key=lambda e: u_orders.rank(e, second=True)))
-    z_orders = LexPowerOrders(u_elements, u_by_second, gadget.z_power)
+    orders, r, n = gadget.orders, gadget.r, gadget.size
 
-    def vertex(kind: str, nested: tuple) -> str:
-        return f"{kind}{orders.rank(itertools.chain.from_iterable(nested)) + 1}"
-
-    # Step 1: a homogeneous copy of U inside Z.
-    sets = [(lambda i: (lambda nested: member(i, vertex("w", nested))))(i) for i in range(gadget.r)]
-    hs1 = find_homogeneous_set(u_elements, gadget.z_power, sets)
-    z0 = sorted(hs1.elements, key=z_orders.rank)
-    if not z_orders.restriction_is_order_isomorphic(z0):
+    # Step 1: a homogeneous copy of U inside Z.  A Z element has the first-
+    # and second-order ranks of its flattened T tuple, so the copy is a list
+    # of core ranks, one per U rank.
+    sets = [functools.partial(member, i) for i in range(r)]
+    _, copy1 = _homogeneous_ranks(len(gadget._u_word), gadget.z_power, sets)
+    if orders._word(copy1) != gadget._u_word:
         return "first restriction not order-isomorphic"
-    core_in = [member(i, vertex("w", z0[0])) for i in range(gadget.r)]
-    iota = dict(zip(u_elements, z0))
+    core_in = [member(i, copy1[0]) for i in range(r)]
 
     # Step 2: mates keep or complement their neighbourhood toward the copy;
     # a homogeneous copy of T inside U makes that uniform per side.
-    def preserved(kind: str, u: tuple) -> bool:
-        name = vertex(kind, iota[u])
-        return sum(1 for i in range(gadget.r) if core_in[i] and member(i, name)) % 2 == 0
+    def preserved(kind: int, u: int) -> bool:
+        x = kind * n + copy1[u]
+        return sum(1 for i in range(r) if core_in[i] and member(i, x)) % 2 == 0
 
-    hs2 = find_homogeneous_set(t_base, gadget.u_power, [
-        lambda u: preserved("u", u),
-        lambda u: preserved("v", u),
-    ])
-    u0 = sorted(hs2.elements, key=u_orders.rank)
-    if not u_orders.restriction_is_order_isomorphic(u0):
+    sides = [functools.partial(preserved, 1), functools.partial(preserved, 2)]
+    _, copy2 = _homogeneous_ranks(len(orders.base), gadget.u_power, sides)
+    t_core = [copy1[u] for u in copy2]  # one core rank per ground element of T
+    if orders._word(t_core) != orders.base_second:  # T's own word
         return "second restriction not order-isomorphic"
-    t_core = [iota[u] for u in u0]  # one core vertex per ground element of T
-    adj = _perturbed(gadget.adjacent, member, gadget.r)
+    adj = _perturbed(gadget.adjacent, member, r)
 
     # Step 3: pick pair representatives and mates, read the surviving block.
-    p = len(gadget.pi)
+    names = gadget.names()
     for rep_shift in (0, 1):  # smaller element of each consecutive pair first
-        reps = [t_core[i + rep_shift] for i in range(0, 4 * p, 2)]
-        partners = [t_core[i + 1 - rep_shift] for i in range(0, 4 * p, 2)]
-        names = [vertex("w", c) for c in reps]
+        reps, partners = t_core[rep_shift::2], t_core[1 - rep_shift::2]
         for m1_from in (reps, partners):
             for m2_from in (reps, partners):
-                mates1 = [vertex("u", c) for c in m1_from]
-                mates2 = [vertex("v", c) for c in m2_from]
-                if _block_exposes(gadget.pi, adj, names, mates1, mates2):
+                if _block_exposes(gadget.pi, adj, names, reps, [n + c for c in m1_from], [2 * n + c for c in m2_from]):
                     return None
     return "no representative choice exposes the requested permutation"
 
 
-def _block_exposes(target, adj, names, mates1, mates2) -> bool:
-    """Whether a half of the doubled chain pattern realizes the target."""
+def _block_exposes(target, adj, names, core, mates1, mates2) -> bool:
+    """Whether a half of the doubled chain pattern realizes the target; the witness graph takes ``names``."""
     p = len(target)
 
     def sizes(mates):
-        out = [sum(1 for m in mates if adj(w, m)) for w in names]
-        return out if sorted(out) == list(range(1, len(names) + 1)) else None
+        out = [sum(1 for m in mates if adj(w, m)) for w in core]
+        return out if sorted(out) == list(range(1, len(core) + 1)) else None
 
     s1, s2 = sizes(mates1), sizes(mates2)
     if s1 is None or s2 is None:
         return False
-    order = sorted(range(len(names)), key=lambda i: s1[i])
+    order = sorted(range(len(core)), key=lambda i: s1[i])
     for block in (order[:p], order[-p:]):
         sub = sorted(block, key=lambda i: s1[i])
         by2 = sorted(block, key=lambda i: s2[i])
@@ -532,10 +524,10 @@ def _block_exposes(target, adj, names, mates1, mates2) -> bool:
         candidate = tuple(rank[i] + 1 for i in by2)
         if candidate != tuple(target):
             continue
-        chosen = [(names[i], mates1[i], mates2[i]) for i in sub]
-        h_vertices = [v for triple in chosen for v in triple]
-        h = Graph.build(h_vertices, [(a, b) for a, b in itertools.combinations(h_vertices, 2) if adj(a, b)])
-        if check_exposes(h, *zip(*chosen), target):
+        h_vertices = [v for i in sub for v in (core[i], mates1[i], mates2[i])]
+        edges = [(names[a], names[b]) for a, b in itertools.combinations(h_vertices, 2) if adj(a, b)]
+        h = Graph.build([names[v] for v in h_vertices], edges)
+        if check_exposes(h, *([names[v] for v in h_vertices[k::3]] for k in range(3)), target):
             return True
     return False
 
@@ -557,9 +549,10 @@ def verify_robustness_interval(
     Sampled scripts are pseudo-random vertex subsets derived from the seed;
     the gadget graph stays lazy, only witness subgraphs materialize.
     """
+    names = gadget.names()
 
-    def draw(idx: int):
-        return (lambda i, v: _hash_member(seed, idx, i, v)), lambda: f"hash sample {idx} (seed {seed})"
+    def draw(idx: int):  # the hash reads vertex names, so scripts do not depend on the index layout
+        return (lambda i, x: _hash_member(seed, idx, i, names[x])), lambda: f"hash sample {idx} (seed {seed})"
 
     sizes = {"u_power": gadget.u_power, "z_power": gadget.z_power, "core_vertices": gadget.size}
     e = gadget.z_power if gadget.u_power >= 4 else None  # below 4, scripts stop before any search

@@ -8,7 +8,7 @@ import random
 import subprocess
 import sys
 import tempfile
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import jsonschema
@@ -716,3 +716,67 @@ def test_json_output_schemas(capsys, argv, schema):
     jsonschema.validate(payload, load_schema(schema))
     if payload.get("witness") is not None:
         jsonschema.validate(payload["witness"], load_schema("witness.schema.json"))
+
+
+# Every command form that reads an input file of tests/data, keyed by the
+# file's first suffix; the file under test goes last.
+READERS = {
+    ".ivl": [["decode"], ["ilmatrix"], ["condense"], ["fo-check", "--formula", str(DATA / "dominating.fo")],
+             ["extract", "perm-submatrix", "--pi", "1"]],
+    ".chd": [["decode"], ["ilmatrix"], ["condense"], ["fo-check", "--formula", str(DATA / "dominating.fo")],
+             ["extract", "circle-witness", "--pi", "1"]],
+    ".g": [["tww", "greedy"], ["tww", "exact"], ["perturb", "--sets", "a,b,c"],
+           ["tww", "verify", "--seq", str(DATA / "demo5.seq"), "--claim", "2"]],
+    ".seq": [["tww", "verify", "--graph", str(DATA / "demo5.g"), "--claim", "2"]],
+    ".mat": [["tww", "exact"], ["mixed-minor", "-k", "2"]],
+    ".fo": [["fo-check", "--intervals", str(DATA / "demo6.ivl")], ["fo-check", "--direct", "--intervals", str(DATA / "demo6.ivl")]],
+}
+INPUT_FLAG = {".ivl": "--intervals", ".chd": "--chords", ".g": "--graph", ".seq": "--seq", ".mat": "--matrix", ".fo": "--formula"}
+INPUTS = sorted(path.name for path in DATA.iterdir() if path.is_file())
+# characters of the input formats, plus any character at all
+FUZZ_CHARS = st.one_of(st.sampled_from(" \n\r\t0123456789-/.,;()=#abceginmtvxé"), st.characters(codec="utf-8"))
+
+
+@st.composite
+def mutated_inputs(draw):
+    name = draw(st.sampled_from(INPUTS))
+    text = (DATA / name).read_text()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(("delete", "insert", "duplicate")))
+        j = i + draw(st.integers(1, 4))
+        if edit == "delete":
+            text = text[:i] + text[j:]
+        elif edit == "insert":
+            text = text[:i] + draw(st.text(FUZZ_CHARS, min_size=1, max_size=3)) + text[i:]
+        else:
+            text = text[:j] + text[i:j] + text[j:]
+    return name, text
+
+
+def test_readers_cover_every_input_file():
+    assert {"." + name.split(".")[1] for name in INPUTS} == READERS.keys()
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_inputs())
+def test_mutated_inputs_keep_the_cli_contract(mutated):
+    # a few characters deleted, inserted or duplicated: every command that
+    # reads the file exits 0, 1 with one error line, or 2, and nothing but
+    # SystemExit escapes run()
+    name, text = mutated
+    suffix = "." + name.split(".")[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_text(text, encoding="utf-8")
+        for form in READERS[suffix]:
+            argv = [*form, INPUT_FLAG[suffix], str(path)]
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                try:
+                    code = run(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            assert code in (0, 1, 2), (argv, text)
+            if code == 1:
+                assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, (argv, text)

@@ -55,6 +55,14 @@ def test_lex_power_orders():
     assert not orders.restriction_is_order_isomorphic([(1, 1)])
 
 
+def test_repeated_base_element_is_a_domain_error():
+    # a repeated element would collapse two power tuples into one rank
+    with pytest.raises(DomainError, match="base elements must be distinct"):
+        LexPowerOrders((1, 1), (1, 1), 2)
+    with pytest.raises(DomainError, match="base elements must be distinct"):
+        find_homogeneous_set((1, 1), 2, [])
+
+
 def test_find_homogeneous_examples():
     # no sets: the first coordinate is free immediately
     hs = find_homogeneous_set((1, 2), 2, [])
@@ -181,13 +189,14 @@ def test_interval_gadget_is_exposer_of_power_word():
     inst = gadget.materialize(cap=1024)
     assert inst.perm == gadget.orders.permutation_word()
     assert check_exposes(inst.graph, inst.core, inst.side1, inst.side2, inst.perm)
-    # the lazy adjacency agrees with the materialized exposer
+    # the lazy adjacency on vertex indices agrees with the materialized exposer
     rng = random.Random(33)
+    index = {v: x for x, v in enumerate(gadget.names())}
     names = sorted(inst.graph.vertices)
     for _ in range(300):
         a, b = rng.choice(names), rng.choice(names)
         if a != b:
-            assert gadget.adjacent(a, b) == inst.graph.has_edge(a, b)
+            assert gadget.adjacent(index[a], index[b]) == inst.graph.has_edge(a, b)
 
 
 def test_interval_robustness_r0_and_r1():
@@ -219,9 +228,9 @@ def test_lazy_perturbed_adjacency_matches_apply_perturbation(r):
         assert len(names) == len(graph.vertices) and set(names) == graph.vertices
         script = [frozenset(v for v in names if rng.random() < 0.5) for _ in range(r)]
         reference = apply_perturbation(graph, script)
-        adj = _perturbed(gadget.adjacent, lambda i, v: v in script[i], r)
-        for a, b in itertools.combinations(names, 2):
-            assert adj(a, b) == reference.has_edge(a, b), (a, b)
+        adj = _perturbed(gadget.adjacent, lambda i, x: names[x] in script[i], r)  # on vertex indices
+        for a, b in itertools.combinations(range(len(names)), 2):
+            assert adj(a, b) == reference.has_edge(names[a], names[b]), (names[a], names[b])
 
 
 def test_precondition_checked_before_any_script():
