@@ -719,19 +719,19 @@ def test_json_output_schemas(capsys, argv, schema):
 
 
 # Every command form that reads an input file of tests/data, keyed by the
-# file's first suffix; the file under test goes last.
+# file's first suffix; the path of the file under test follows each form.
+FO, DEMO6 = str(DATA / "dominating.fo"), str(DATA / "demo6.ivl")
 READERS = {
-    ".ivl": [["decode"], ["ilmatrix"], ["condense"], ["fo-check", "--formula", str(DATA / "dominating.fo")],
-             ["extract", "perm-submatrix", "--pi", "1"]],
-    ".chd": [["decode"], ["ilmatrix"], ["condense"], ["fo-check", "--formula", str(DATA / "dominating.fo")],
-             ["extract", "circle-witness", "--pi", "1"]],
-    ".g": [["tww", "greedy"], ["tww", "exact"], ["perturb", "--sets", "a,b,c"],
-           ["tww", "verify", "--seq", str(DATA / "demo5.seq"), "--claim", "2"]],
-    ".seq": [["tww", "verify", "--graph", str(DATA / "demo5.g"), "--claim", "2"]],
-    ".mat": [["tww", "exact"], ["mixed-minor", "-k", "2"]],
-    ".fo": [["fo-check", "--intervals", str(DATA / "demo6.ivl")], ["fo-check", "--direct", "--intervals", str(DATA / "demo6.ivl")]],
+    ".ivl": [["decode", "--intervals"], ["ilmatrix", "--intervals"], ["condense", "--intervals"],
+             ["fo-check", "--formula", FO, "--intervals"], ["extract", "perm-submatrix", "--pi", "1", "--intervals"]],
+    ".chd": [["decode", "--chords"], ["ilmatrix", "--chords"], ["condense", "--chords"],
+             ["fo-check", "--formula", FO, "--chords"], ["extract", "circle-witness", "--pi", "1", "--chords"]],
+    ".g": [["tww", "greedy", "--graph"], ["tww", "exact", "--graph"], ["perturb", "--sets", "a,b,c", "--graph"],
+           ["tww", "verify", "--seq", DEMO5_SEQ, "--claim", "2", "--graph"]],
+    ".seq": [["tww", "verify", "--graph", DEMO5, "--claim", "2", "--seq"]],
+    ".mat": [["tww", "exact", "--matrix"], ["mixed-minor", "-k", "2", "--matrix"]],
+    ".fo": [["fo-check", "--intervals", DEMO6, "--formula"], ["fo-check", "--direct", "--intervals", DEMO6, "--formula"]],
 }
-INPUT_FLAG = {".ivl": "--intervals", ".chd": "--chords", ".g": "--graph", ".seq": "--seq", ".mat": "--matrix", ".fo": "--formula"}
 INPUTS = sorted(path.name for path in DATA.iterdir() if path.is_file())
 # characters of the input formats, plus any character at all
 FUZZ_CHARS = st.one_of(st.sampled_from(" \n\r\t0123456789-/.,;()=#abceginmtvxé"), st.characters(codec="utf-8"))
@@ -770,7 +770,7 @@ def test_mutated_inputs_keep_the_cli_contract(mutated):
         path = Path(tmp) / name
         path.write_text(text, encoding="utf-8")
         for form in READERS[suffix]:
-            argv = [*form, INPUT_FLAG[suffix], str(path)]
+            argv = [*form, str(path)]
             err = io.StringIO()
             with redirect_stdout(io.StringIO()), redirect_stderr(err):
                 try:
