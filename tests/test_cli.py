@@ -472,12 +472,14 @@ def test_hplus_interval_json_bytes_pinned():
 
 
 # sha256 of the output on the seeded 1 000-interval model: a 2 304 x 1 309 overlap
-# matrix, as text and as JSON, the interval graph's 149 826 edges as .g text, and
-# both kinds' condensed representations as JSON
+# matrix, as text and as JSON, the interval graph's 149 826 edges as .g text and as
+# JSON, the overlap graph as .g text, and both kinds' condensed representations as JSON
 BULK_SHA256 = {
     "ilmatrix --kind overlap": "651fc6c228743bc1544614b0816081d08cea18d61d826f6ae84c30dad3c8632e",
     "ilmatrix --kind overlap --json": "9f785a88620c7deadf5a115d54ae036481f5df77bbdcb75fdde3562b64ac301a",
     "decode --kind interval": "36c5bafd14617cee0e55039631a79c806a9a81c7d7ccf35cdc0f2f53db42b77a",
+    "decode --kind interval --json": "bbd51610421fa749cd12a9e2cb90cb77444216e611029baaf951da45f37d1068",
+    "decode --kind overlap": "7873d716f5cbd81908a5d310a5332e18c236e2064fbdd291c1cdbaa8ad131cab",
     "condense --kind interval --json": "c57a19ec0ab6de577cf2f64df38fcb33ce924b7aa95e15d0c81cec86bf01c660",
     "condense --kind overlap --json": "da1e04d69c33076e9514fd6fbcf30813ecd199b4af21e6962f78ba9ed3623139",
 }
@@ -488,6 +490,19 @@ def test_bulk_outputs_pinned(intervals1000, command):
     code, out = run_stdout([*command.split(), "--intervals", str(intervals1000)])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == BULK_SHA256[command]
+
+
+def test_bulk_perturb_json_pinned(tmp_path):
+    """``perturb --json`` on a graph of the ``bulk`` benchmark's shape: G(800, .05) and three 60-vertex sets."""
+    rng = random.Random(800)
+    vs = [f"p{i}" for i in range(800)]  # names sort unlike their ranks: p10 < p2
+    es = [(vs[i], vs[j]) for i in range(800) for j in range(i + 1, 800) if rng.random() < 0.05]
+    sets = ";".join(",".join(rng.sample(vs, 60)) for _ in range(3))
+    path = tmp_path / "p800.g"
+    path.write_text(f"graph g 800 {len(es)}\n" + "".join(f"v {v}\n" for v in vs) + "".join(f"e {a} {b}\n" for a, b in es))
+    code, out = run_stdout(["perturb", "--graph", str(path), "--sets", sets, "--json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == "f2e39a2d9d5054bee62e9d14ea6603bb63a28b749e9399852a72753c08146f60"
 
 
 # sha256 of `condense --json` on seeded_intervals_text(200, seed=3), per kind
