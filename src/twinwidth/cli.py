@@ -61,15 +61,14 @@ def _emit_json(payload: dict) -> None:
         if not isinstance(value, graphs.Graph):
             out.write(json.dumps(value, indent=2).replace("\n", "\n  "))
             continue
-        order = sorted(value.vertices)
-        names = list(map(encode_basestring_ascii, order))
+        names = list(map(encode_basestring_ascii, value.names))
         lead = "[\n    "
-        for name, (_, ranks) in zip(names, graphs.edge_rows(value, order)):
+        for name, ranks in zip(names, graphs.edge_rows(value)):
             if ranks:
                 head = f"[\n      {name},\n      "
                 out.write(lead + head + f"\n    ],\n    {head}".join(map(names.__getitem__, ranks)) + "\n    ]")
                 lead = ",\n    "
-        out.write("\n  ]" if value.edges else "[]")
+        out.write("\n  ]" if any(value.rows) else "[]")
     out.write("{}\n" if not payload else "\n}\n")
 
 
@@ -95,7 +94,7 @@ def _load_rep(args) -> ilrep.IntervalLikeRep:
 def _emit_graph(args, g: graphs.Graph, extra: dict | None = None) -> None:
     """The graph payload plus ``extra`` (``_emit_json`` writes g as its sorted edge list), or ``.g`` text."""
     if args.json:
-        _emit_json({"vertices": sorted(g.vertices), "edges": g, **(extra or {})})
+        _emit_json({"vertices": list(g.names), "edges": g, **(extra or {})})
     else:
         sys.stdout.writelines(graphs.graph_lines(g, **_given(args, "name")))
 

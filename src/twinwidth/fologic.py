@@ -262,9 +262,9 @@ class Structure:
 
 
 def graph_structure(g: Graph, marks: dict[str, Iterable[str]] | None = None) -> Structure:
-    sym = frozenset((u, v) for u, v in g.edges) | frozenset((v, u) for u, v in g.edges)
+    sym = frozenset((u, v) for u in g.names for v in g.neighbors(u))
     mk = {name: frozenset(vs) for name, vs in (marks or {}).items()}
-    return Structure(tuple(sorted(g.vertices)), {"edge": sym}, mk)
+    return Structure(g.names, {"edge": sym}, mk)
 
 
 def matrix_structure(m: IlMatrix) -> Structure:
@@ -604,7 +604,7 @@ def transduce_permutation(
 
 def transduction_image(g: Graph, cap: int = 6, budget: int = DEFAULT_EVAL_BUDGET) -> set[tuple[int, ...]]:
     """All permutations obtainable from some disjoint mark assignment (n <= cap)."""
-    vs = sorted(g.vertices)
+    vs = g.names
     if len(vs) > cap:
         raise BudgetExceeded(f"exhaustive mark expansion cap {cap} exceeded")
     out: set[tuple[int, ...]] = set()

@@ -1,9 +1,13 @@
 """Graphs, contraction sequences, permutations, twins, and small-scale isomorphism.
 
-Vertices are opaque strings.  Along a contraction sequence the graph becomes
-a trigraph: a second, disjoint set of "red" edges records where merged
-vertices disagreed.  Contracting u and v yields one vertex whose red
-neighbourhood is
+Vertices are opaque strings.  A ``Graph`` holds one adjacency form: the
+names, strictly sorted, and one int bitmask row per name over that order.
+The solvers and ``sequence_width`` start from a copy of the rows, and the
+``.g`` and JSON writers read each row's bits above its own index.
+
+Along a contraction sequence the graph becomes a trigraph: a second,
+disjoint set of "red" edges records where merged vertices disagreed.
+Contracting u and v yields one vertex whose red neighbourhood is
 
     ((N_red(u) | N_red(v)) | (N(u) ^ N(v))) - {u, v}
 
@@ -27,54 +31,76 @@ from .records import record
 DEFAULT_ISO_CAP = 12
 
 
-def _norm_edge(u: str, v: str) -> tuple[str, str]:
-    return (u, v) if u <= v else (v, u)
-
-
 @record
 class Graph:
-    """A simple graph: loop-free, no duplicate edges."""
+    """A simple graph: bit j of ``rows[i]`` is set iff ``names[i]`` and ``names[j]`` are adjacent.
 
-    vertices: frozenset[str]
-    edges: frozenset[tuple[str, str]]
+    The rows are symmetric (not checked: that costs a pass over the edges),
+    with no bit i in row i and none at ``len(names)`` or above.
+    ``Graph.build`` takes vertices and name pairs.  ``vertices`` and
+    ``edges`` (smaller name first) are views derived on first use.
+    """
+
+    names: tuple[str, ...]
+    rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        for u, v in self.edges:
-            if u == v:
-                raise DomainError(f"loop at vertex {u!r}")
-            if u > v:
-                raise DomainError(f"edge {(u, v)!r} not normalised")
-            if u not in self.vertices or v not in self.vertices:
-                raise DomainError(f"edge {(u, v)!r} has endpoint outside the vertex set")
+        names, limit = self.names, 1 << len(self.names)
+        if any(u >= v for u, v in zip(names, names[1:])):
+            raise DomainError("vertex names must be strictly sorted")
+        if len(self.rows) != len(names):
+            raise DomainError(f"{len(self.rows)} rows for {len(names)} vertices")
+        for i, row in enumerate(self.rows):
+            if not 0 <= row < limit or row >> i & 1:
+                raise DomainError(f"the row of {names[i]!r} has a loop or a bit outside the vertex set")
 
     @staticmethod
     def build(vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> "Graph":
-        # a pair tuple already in order is kept, not copied, so it shares its name strings
-        edges = (e if type(e) is tuple and e[0] <= e[1] else _norm_edge(*e) for e in edges)
-        return Graph(frozenset(vertices), frozenset(edges))
+        names = tuple(sorted(set(vertices)))
+        index = {v: i for i, v in enumerate(names)}
+        # one bitmap per row, bit j in byte j >> 3, read as one int at the end
+        bitmaps = [bytearray(len(names) + 7 >> 3) for _ in names]
+        for u, v in edges:
+            if u == v:
+                raise DomainError(f"loop at vertex {u!r}")
+            try:
+                i, j = index[u], index[v]
+            except KeyError:
+                raise DomainError(f"edge {(min(u, v), max(u, v))!r} has endpoint outside the vertex set") from None
+            bitmaps[i][j >> 3] |= 1 << (j & 7)
+            bitmaps[j][i >> 3] |= 1 << (i & 7)
+        return Graph(names, tuple(int.from_bytes(b, "little") for b in bitmaps))
 
     @cached_property
-    def adjacency(self) -> dict[str, frozenset[str]]:
-        nbrs: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return {v: frozenset(s) for v, s in nbrs.items()}
+    def index(self) -> dict[str, int]:  # each name's position in names and rows
+        return {v: i for i, v in enumerate(self.names)}
+
+    @cached_property
+    def vertices(self) -> frozenset[str]:
+        return frozenset(self.names)
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[str, str]]:
+        return frozenset((u, self.names[j]) for u, later in zip(self.names, edge_rows(self)) for j in later)
 
     def neighbors(self, v: str) -> frozenset[str]:
-        return self.adjacency[v]
+        return frozenset(map(self.names.__getitem__, _bits(self.rows[self.index[v]])))
 
     def degree(self, v: str) -> int:
-        return len(self.adjacency[v])
+        return self.rows[self.index[v]].bit_count()
 
     def has_edge(self, u: str, v: str) -> bool:
-        return _norm_edge(u, v) in self.edges
+        index = self.index
+        return u in index and v in index and self.rows[index[u]] >> index[v] & 1 == 1
 
     def subgraph(self, keep: Iterable[str]) -> "Graph":
         ks = frozenset(keep)
         if not ks <= self.vertices:
             raise DomainError("subgraph vertices not contained in the graph")
-        return Graph(ks, frozenset(e for e in self.edges if e[0] in ks and e[1] in ks))
+        kept = [i for i, v in enumerate(self.names) if v in ks]
+        new = {i: 1 << k for k, i in enumerate(kept)}
+        rows = tuple(sum(new.get(j, 0) for j in _bits(self.rows[i])) for i in kept)
+        return Graph(tuple(self.names[i] for i in kept), rows)
 
     def relabel(self, mapping: dict[str, str]) -> "Graph":
         if set(mapping) != set(self.vertices) or len(set(mapping.values())) != len(self.vertices):
@@ -82,9 +108,8 @@ class Graph:
         return Graph.build(mapping.values(), ((mapping[u], mapping[v]) for u, v in self.edges))
 
     def complement(self) -> "Graph":
-        vs = sorted(self.vertices)
-        edges = [(u, v) for u, v in itertools.combinations(vs, 2) if not self.has_edge(u, v)]
-        return Graph.build(vs, edges)
+        full = (1 << len(self.names)) - 1
+        return Graph(self.names, tuple(full ^ row ^ 1 << i for i, row in enumerate(self.rows)))
 
 
 @record
@@ -106,17 +131,6 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _adjacency(g: Graph) -> tuple[list[str], list[int]]:
-    """The sorted vertices and each one's neighbourhood as a bitmask over them."""
-    order = sorted(g.vertices)
-    slot = {v: i for i, v in enumerate(order)}
-    adj = [0] * len(order)
-    for u, v in g.edges:
-        adj[slot[u]] |= 1 << slot[v]
-        adj[slot[v]] |= 1 << slot[u]
-    return order, adj
 
 
 def _contract_masks(black: list[int], red: list[int], a: int, b: int) -> int:
@@ -152,15 +166,12 @@ def sequence_width(g: Graph, seq: Sequence[ContractionStep]) -> int:
     distinct ends, and a merged name that no other live vertex holds (both
     ``DomainError``).
     """
-    if not g.vertices:
+    n = len(g.names)
+    if not n:
         raise DomainError("empty graph has no contraction sequence")
-    if len(seq) != len(g.vertices) - 1:
-        raise SequenceError(
-            f"sequence has {len(seq)} steps, a full sequence on {len(g.vertices)} vertices needs {len(g.vertices) - 1}"
-        )
-    order, black = _adjacency(g)
-    red = [0] * len(order)
-    slot = {v: i for i, v in enumerate(order)}
+    if len(seq) != n - 1:
+        raise SequenceError(f"sequence has {len(seq)} steps, a full sequence on {n} vertices needs {n - 1}")
+    black, red, slot = list(g.rows), [0] * n, dict(g.index)
     width = 0
     for step in seq:
         u, v, merged = step.u, step.v, step.merged
@@ -229,12 +240,10 @@ def permutation_from_orders(first: Sequence, second: Sequence) -> tuple[int, ...
 
 
 def find_twins(g: Graph) -> list[tuple[str, str]]:
-    """All pairs u < v with N(u) - {v} = N(v) - {u} (adjacent or not)."""
-    out = []
-    for u, v in itertools.combinations(sorted(g.vertices), 2):
-        if g.neighbors(u) - {v} == g.neighbors(v) - {u}:
-            out.append((u, v))
-    return out
+    """All pairs u < v with N(u) - {v} = N(v) - {u} (adjacent or not): rows equal off the pair's two bits."""
+    names, rows = g.names, g.rows
+    pairs = itertools.combinations(range(len(names)), 2)
+    return [(names[i], names[j]) for i, j in pairs if not (rows[i] ^ rows[j]) & ~(1 << i | 1 << j)]
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +261,6 @@ def is_isomorphic(g: Graph, h: Graph, cap: int = DEFAULT_ISO_CAP) -> bool:
     """Exhaustive isomorphism test with degree-profile pruning; |V| <= cap."""
     if len(g.vertices) > cap or len(h.vertices) > cap:
         raise CapExceeded(f"isomorphism cap {cap} exceeded ({len(g.vertices)} / {len(h.vertices)} vertices)")
-    if len(g.vertices) != len(h.vertices) or len(g.edges) != len(h.edges):
-        return False
     gp, hp = _neighbor_degree_profile(g), _neighbor_degree_profile(h)
     if sorted(gp.values()) != sorted(hp.values()):
         return False
@@ -289,31 +296,23 @@ def is_isomorphic(g: Graph, h: Graph, cap: int = DEFAULT_ISO_CAP) -> bool:
 # text formats
 
 
-def edge_rows(g: Graph, order: list[str]) -> Iterator[tuple[str, list[int]]]:
-    """Each u of ``order == sorted(g.vertices)`` with the sorted ranks of its later neighbours.
+def edge_rows(g: Graph) -> Iterator[list[int]]:
+    """Per vertex, in name order, the ascending ranks of its later neighbours: its row's bits above its own.
 
-    Edges are normalised (u < v), so bucketing each edge under the rank of
-    u and sorting the integer ranks of the v's in each bucket gives, row
-    after row, the edges in ``sorted(g.edges)`` order, with no string
-    comparison and no sorted copy of the edge set.  Every vertex has a row,
-    possibly empty.
+    Row after row, these are the edges in ``sorted(g.edges)`` order, with no
+    string comparison and no edge set.  Every vertex has a row, possibly empty.
     """
-    rank = {v: i for i, v in enumerate(order)}
-    later: list[list[int]] = [[] for _ in order]
-    for u, v in g.edges:
-        later[rank[u]].append(rank[v])
-    for u, ranks in zip(order, later):
-        ranks.sort()
-        yield u, ranks
+    for i, row in enumerate(g.rows):
+        yield list(_bits(row >> i + 1 << i + 1))
 
 
 def graph_lines(g: Graph, name: str = "g") -> Iterator[str]:
     """The ``.g`` text in pieces: the header with the ``v`` lines, then the ``e`` lines of each ``edge_rows`` row."""
-    order = sorted(g.vertices)
-    yield f"graph {name} {len(g.vertices)} {len(g.edges)}\n" + "".join(f"v {v}\n" for v in order)
-    for u, ranks in edge_rows(g, order):
-        if ranks:
-            yield "".join(f"e {u} {order[r]}\n" for r in ranks)
+    names = g.names
+    yield f"graph {name} {len(names)} {sum(map(int.bit_count, g.rows)) // 2}\n" + "".join(f"v {v}\n" for v in names)
+    for u, later in zip(names, edge_rows(g)):
+        if later:
+            yield "".join(f"e {u} {names[j]}\n" for j in later)
 
 
 def graph_to_text(g: Graph, name: str = "g") -> str:
@@ -341,7 +340,7 @@ def graph_from_text(text: str) -> Graph:
         else:
             raise FormatError(f"bad graph line: {ln!r}")
     g = Graph.build(vertices, edges)
-    if len(g.vertices) != n or len(g.edges) != m:
+    if len(g.names) != n or sum(map(int.bit_count, g.rows)) != 2 * m:
         raise FormatError("graph header counts do not match the body")
     return g
 

@@ -18,9 +18,10 @@ Each row is a ``bytes`` object, one byte per cell, built from whole slabs.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
+from operator import or_
 from typing import Iterable, Sequence
 
 from .errors import DomainError, FormatError
@@ -142,36 +143,34 @@ def rep_from_chords(diagram: ChordDiagram) -> IntervalLikeRep:
 # decoding
 
 
-def _sweep_graph(spans: list[tuple[int, int]], names: list[str], kind: str) -> Graph:
-    """The graph on named rank spans, listed in increasing (first, second) order.
+def _sweep_graph(spans: dict[str, tuple[int, int]], kind: str) -> Graph:
+    """The graph on named rank spans, its rows built from prefix and suffix masks.
 
-    Span i meets exactly the spans i+1 .. k-1 after it, where k is the first
-    span whose first end lies past i's second end.  Overlap keeps those that
-    end no earlier than i; the others lie strictly inside i.  So the cost is
-    O(n log n + |E|), E the interval kind's edges, not a pairwise scan.
+    Over the names in sorted order, ``first[x]`` masks the spans with first
+    end < x and ``second[x]`` those with second end >= x.  Span (l, r) meets
+    exactly ``first[r + 1] & second[l]``.  The overlap kind drops the spans
+    strictly inside it, ``~first[l + 1] & ~second[r]``, and those strictly
+    containing it, ``first[l] & second[r + 1]``.  A row costs a few big-int
+    operations whatever its degree: O(n log n + (n + e) * n / word) for e ends.
     """
-    lefts = [l for l, _ in spans]
-    rights = [r for _, r in spans]
-
-    def edges():
-        for i, (u, r) in enumerate(zip(names, rights)):
-            hi = bisect_right(lefts, r)
-            later = names[i + 1:hi]
-            if kind == OVERLAP:
-                later = [w for w, rw in zip(later, rights[i + 1:hi]) if r <= rw]
-            # built normalised (smaller name first), so Graph.build need not redo it
-            yield from ((u, w) if u < w else (w, u) for w in later)
-
-    # fed straight to the frozenset: no list of all edges is built first
-    return Graph(frozenset(names), frozenset(edges()))
+    names = sorted(spans)
+    ends = [spans[v] for v in names]
+    top = max((r for _, r in ends), default=0) + 2
+    first, second = [0] * top, [0] * top
+    for k, (l, r) in enumerate(ends):
+        first[l + 1] |= 1 << k
+        second[r] |= 1 << k
+    first, second = list(accumulate(first, or_)), list(accumulate(second[::-1], or_))[::-1]
+    rows = [(first[r + 1] & second[l]) ^ 1 << k for k, (l, r) in enumerate(ends)]
+    if kind == OVERLAP:
+        rows = [row & (first[l + 1] | second[r]) & ~(first[l] & second[r + 1]) for row, (l, r) in zip(rows, ends)]
+    return Graph(tuple(names), tuple(rows))
 
 
 def decode(rep: IntervalLikeRep) -> Graph:
-    """The graph on the end pairs, under the representation's kind."""
+    """The graph on the end pairs, under the representation's kind: ``_sweep_graph``'s mask rule on their end ranks."""
     r = rep.rank
-    plist = rep.sorted_pairs()
-    spans = [(r[s1], r[s2]) for s1, s2 in plist]
-    return _sweep_graph(spans, [pair_name(p) for p in plist], rep.kind)
+    return _sweep_graph({pair_name(p): (r[p[0]], r[p[1]]) for p in rep.pairs}, rep.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +252,7 @@ def decode_from_matrix(m: IlMatrix | TriMatrix, kind: str) -> Graph:
         raise DomainError(f"kind must be one of {KINDS}, got {kind!r}")
     matrix = m.matrix if isinstance(m, IlMatrix) else m
     implied = validate_ilmatrix(matrix)
-    # validation leaves the rows strictly sorted by their spans
-    named = [(span, key) for key, span in implied.items() if span[1] is not None]
-    return _sweep_graph([span for span, _ in named], [key for _, key in named], kind)
+    return _sweep_graph({key: span for key, span in implied.items() if span[1] is not None}, kind)
 
 
 # ---------------------------------------------------------------------------

@@ -193,7 +193,7 @@ class ExposureWitness:
         return {
             "type": "exposure",
             "permutation": list(self.perm),
-            "vertices": sorted(self.graph.vertices),
+            "vertices": list(self.graph.names),
             "core": list(self.core),
             "mates": {
                 "side1": dict(zip(self.core, self.side1)),
@@ -371,7 +371,7 @@ def find_exposed_permutations(
     """All permutations of size p exposed by some induced subgraph of g."""
     if p < 1:
         raise DomainError("permutation size must be positive")
-    vs = sorted(g.vertices)
+    vs = g.names
     n = len(vs)
     if n < 3 * p:
         return set()

@@ -66,18 +66,16 @@ def _power_exceeds(base: int, exponent: int, cap: int) -> bool:
 
 
 def apply_perturbation(g: Graph, script: Sequence[Iterable[str]]) -> Graph:
-    """Complement the edge relation inside each subset, in order."""
-    edges = set(g.edges)
+    """Complement the edge relation inside each subset, in order: XOR its mask, less x's own bit, into each member x's row."""
+    rows, index = list(g.rows), g.index
     for subset in script:
-        xs = sorted(set(subset))
-        if not set(xs) <= g.vertices:
+        xs = set(subset)
+        if not xs <= g.vertices:
             raise DomainError("perturbation subset leaves the vertex set")
-        for pair in itertools.combinations(xs, 2):
-            if pair in edges:
-                edges.remove(pair)
-            else:
-                edges.add(pair)
-    return Graph(g.vertices, frozenset(edges))
+        mask = sum(1 << index[x] for x in xs)
+        for x in xs:
+            rows[index[x]] ^= mask ^ 1 << index[x]
+    return Graph(g.names, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +126,15 @@ class LexPowerOrders:
             out.append(order[digit])
         return tuple(reversed(out))
 
+    @functools.cached_property
+    def _digit_map(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The place values b**k of a rank, and each first-order digit's second-order digit."""
+        return tuple(len(self.base) ** k for k in range(self.exponent)), tuple(map(self._digits[1].__getitem__, self.base))
+
     def second_rank(self, rank: int) -> int:
-        """The second-order rank of the element at first-order ``rank``."""
-        return self.rank(self.unrank(rank), second=True)
+        """The second-order rank of the element at first-order ``rank``: each of its base-b digits mapped."""
+        places, second = self._digit_map
+        return sum(second[rank // p % len(self.base)] * p for p in places)
 
     def _word(self, ranks: Iterable[int]) -> tuple[int, ...]:
         """The 1-based permutation both orders carry on ascending first-order ``ranks``; a copy of orders B gives B's."""

@@ -26,7 +26,7 @@ import itertools
 from bisect import bisect_left, bisect_right
 
 from .errors import CapExceeded, DomainError
-from .graphs import ContractionStep, Graph, _adjacency, _bits, _contract_masks, sequence_width
+from .graphs import ContractionStep, Graph, _bits, _contract_masks, sequence_width
 from .records import record
 from .trimatrix import DEFAULT_ORDERING_CAP, TriMatrix, _walk, find_mixed_minor
 
@@ -58,12 +58,12 @@ def _contract_name(live: set[str], u: str, v: str) -> str:
 
 def twinwidth_exact(g: Graph, cap: int = DEFAULT_EXACT_CAP) -> SolveResult:
     """Exact twin-width and an optimal contraction sequence; |V| <= cap."""
-    n = len(g.vertices)
+    n = len(g.names)
     if n > cap:
         raise CapExceeded(f"exact twin-width cap {cap} exceeded ({n} vertices)")
     if n == 0:
         raise DomainError("empty graph has no contraction sequence")
-    order, adj = _adjacency(g)
+    order, adj = g.names, g.rows
 
     def profile(state: tuple) -> tuple[int, tuple | None]:
         (p,) = state
@@ -125,9 +125,9 @@ def twinwidth_greedy(g: Graph) -> SolveResult:
     sorted by falling red degree, which stops once a degree + 1 cannot raise
     the width.  ``nodes_explored`` still counts every live pair of every step.
     """
-    if not g.vertices:
+    if not g.names:
         raise DomainError("empty graph has no contraction sequence")
-    order, black = _adjacency(g)
+    order, black = g.names, list(g.rows)
     red = [0] * len(order)
     names: dict[int, str] = dict(enumerate(order))  # the live vertices
     live = set(order)

@@ -113,10 +113,9 @@ class TriMatrix:
 
 
 def adjacency_matrix(g: Graph) -> TriMatrix:
-    """0/1 adjacency matrix with rows and columns sorted by vertex id."""
-    keys = tuple(sorted(g.vertices))
-    rows = tuple(bytes(1 if g.has_edge(u, v) else 0 for v in keys) for u in keys)
-    return TriMatrix(keys, keys, rows)
+    """0/1 adjacency matrix with rows and columns sorted by vertex id: each row's bits, lowest first."""
+    n = len(g.names)
+    return TriMatrix(g.names, g.names, tuple(format(row, f"0{n}b")[::-1].encode().translate(_FROM_TEXT) for row in g.rows))
 
 
 def row_text(row: bytes) -> str:

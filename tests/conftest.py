@@ -18,7 +18,7 @@ import pytest
 
 from twinwidth import fologic as fo
 from twinwidth.errors import DomainError
-from twinwidth.graphs import ContractionStep, Graph, _adjacency, _bits, _contract_masks
+from twinwidth.graphs import ContractionStep, Graph, _bits, _contract_masks
 from twinwidth.ilrep import INTERVAL, OVERLAP, IntervalLikeRep, decode, end_name, pair_name, rep_from_intervals, unify
 from twinwidth.solver import SolveResult, _contract_name
 from twinwidth.trimatrix import RED, TriMatrix, _discrete, _merge, _moves, red_number
@@ -213,7 +213,7 @@ def reference_greedy(g: Graph) -> SolveResult:
     """
     if not g.vertices:
         raise DomainError("empty graph has no contraction sequence")
-    order, black = _adjacency(g)
+    order, black = g.names, list(g.rows)
     n = len(order)
     red = [0] * n
     names: dict[int, str] = dict(enumerate(order))

@@ -9,7 +9,6 @@ from twinwidth.graphs import (
     ContractionStep,
     Graph,
     SequenceError,
-    _adjacency,
     _bits,
     _contract_masks,
     find_twins,
@@ -23,13 +22,16 @@ from twinwidth.graphs import (
     sequence_to_text,
     sequence_width,
 )
+from twinwidth.perturb import apply_perturbation
 from twinwidth.solver import twinwidth_exact, twinwidth_greedy
+from twinwidth.trimatrix import adjacency_matrix
 from conftest import brute_twinwidth, complete_graph, path_graph, reference_contract, reference_start
+from test_cli import NAMES
 
 
 def contract_pair(g, u, v):
     """Black and red neighbour sets after ``_contract_masks`` merges u and v into ``u + v``."""
-    order, black = _adjacency(g)
+    order, black = list(g.names), list(g.rows)
     red = [0] * len(order)
     a, b = order.index(u), order.index(v)
     _contract_masks(black, red, a, b)
@@ -254,3 +256,71 @@ def test_graph_text_roundtrip(demo5_graph):
 def test_sequence_text_roundtrip():
     seq = (ContractionStep("a", "b", "ab"), ContractionStep("ab", "c", "abc"))
     assert sequence_from_text(sequence_to_text(seq)) == seq
+
+
+# NAMES and their two-name concatenations: up to 40 distinct names that sort unlike their ranks
+ORACLE_NAMES = list(dict.fromkeys([*NAMES, *(a + b for a, b in itertools.product(NAMES, repeat=2))]))
+
+
+def plain_edges(pairs) -> set[frozenset]:
+    return {frozenset(e) for e in pairs}
+
+
+def as_pairs(edges: set[frozenset]) -> set[tuple]:
+    return {tuple(sorted(e)) for e in edges}
+
+
+def test_graph_matches_plain_set_oracle():
+    """``Graph.build``, its views, its methods, twins, the adjacency matrix and perturbations on G(n, p), against plain sets."""
+    rng = random.Random(21)
+    for _ in range(40):
+        n, p = rng.randint(0, 40), rng.choice((0.1, 0.3, 0.5, 0.9))
+        vs = rng.sample(ORACLE_NAMES, n)
+        pairs = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in itertools.combinations(vs, 2) if rng.random() < p]
+        pairs += rng.sample(pairs, len(pairs) // 4)  # repeated pairs, either way round
+        edges = plain_edges(pairs)
+        nbrs = {u: {v for v in vs if frozenset((u, v)) in edges} for u in vs}
+        g = Graph.build(vs, pairs)
+        assert g.names == tuple(sorted(vs)) and g.vertices == set(vs) and g.edges == as_pairs(edges)
+        assert g == Graph.build(reversed(vs), as_pairs(edges)) and hash(g) == hash(Graph(g.names, g.rows))
+        for u, v in itertools.product(vs, repeat=2):
+            assert g.has_edge(u, v) == (frozenset((u, v)) in edges)
+        for u in vs:
+            assert g.neighbors(u) == nbrs[u] and g.degree(u) == len(nbrs[u])
+
+        keep = set(rng.sample(vs, rng.randint(0, n)))
+        sub = g.subgraph(keep)
+        assert sub.vertices == keep and sub.edges == as_pairs({e for e in edges if e <= keep})
+        mapping = dict(zip(vs, rng.sample(ORACLE_NAMES, n)))
+        moved = g.relabel(mapping)
+        assert moved.vertices == set(mapping.values())
+        assert moved.edges == as_pairs({frozenset(map(mapping.get, e)) for e in edges})
+        assert g.complement().edges == as_pairs(plain_edges(itertools.combinations(vs, 2)) - edges)
+
+        twins = [(u, v) for u, v in itertools.combinations(sorted(vs), 2) if nbrs[u] - {v} == nbrs[v] - {u}]
+        assert find_twins(g) == twins
+        m = adjacency_matrix(g)
+        assert m.row_keys == m.col_keys == tuple(sorted(vs))
+        assert all(m.entry(u, v) == (frozenset((u, v)) in edges) for u, v in itertools.product(vs, repeat=2))
+        script = [rng.sample(vs, rng.randint(0, n)) for _ in range(rng.randint(0, 3))]
+        toggled = set(edges)
+        for subset in script:
+            toggled ^= plain_edges(itertools.combinations(subset, 2))
+        assert apply_perturbation(g, script).edges == as_pairs(toggled)
+
+
+@pytest.mark.parametrize(
+    "names, rows",
+    [(("b", "a"), (0, 0)), (("a", "a"), (0, 0)), (("a", "b"), (2,)), (("a", "b"), (1, 0)), (("a", "b"), (4, 0)), (("a",), (-1,))],
+    ids=["unsorted", "repeated", "row-count", "self-bit", "bit-past-n", "negative"],
+)
+def test_graph_rows_shape_checks(names, rows):
+    with pytest.raises(DomainError):
+        Graph(names, rows)
+
+
+def test_graph_build_pair_errors():
+    with pytest.raises(DomainError, match="loop at vertex 'a'"):
+        Graph.build("ab", [("a", "b"), ("a", "a")])
+    with pytest.raises(DomainError, match=r"edge \('a', 'c'\) has endpoint outside the vertex set"):
+        Graph.build("ab", [("c", "a")])

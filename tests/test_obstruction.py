@@ -187,7 +187,7 @@ def test_check_exposes_examples():
 
     # deleting a mate edge breaks a chain
     mate_edge = tuple(sorted((inst.core[0], inst.side1[0])))
-    g2 = Graph(inst.graph.vertices, inst.graph.edges - {mate_edge})
+    g2 = Graph.build(inst.graph.vertices, inst.graph.edges - {mate_edge})
     assert not check_exposes(g2, inst.core, inst.side1, inst.side2, (2, 1))
 
     with pytest.raises(DomainError):

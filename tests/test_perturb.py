@@ -55,6 +55,16 @@ def test_lex_power_orders():
     assert not orders.restriction_is_order_isomorphic([(1, 1)])
 
 
+def test_second_rank_maps_digits_like_the_tuple_round_trip():
+    rng = random.Random(15)
+    for b, exponent in ((1, 3), (2, 5), (3, 4), (5, 3), (8, 2), (4, 1)):
+        base = rng.sample(range(100), b)
+        orders = LexPowerOrders(tuple(base), tuple(rng.sample(base, b)), exponent)
+        assert [orders.second_rank(x) for x in range(orders.size)] == [
+            orders.rank(orders.unrank(x), second=True) for x in range(orders.size)
+        ]
+
+
 def test_repeated_base_element_is_a_domain_error():
     # a repeated element would collapse two power tuples into one rank
     with pytest.raises(DomainError, match="base elements must be distinct"):

@@ -32,7 +32,7 @@ from twinwidth.perturb import (
 from twinwidth.solver import SolveResult
 from twinwidth.trimatrix import Division, MatrixSolveResult, MixedMinorWitness, TriMatrix
 
-_G = Graph(frozenset({"a", "b"}), frozenset({("a", "b")}))
+_G = Graph(("a", "b"), (0b10, 0b01))
 _STEP = ContractionStep("a", "b", "ab")
 _M = TriMatrix(("r",), ("c",), (b"\x01",))
 _DIV = Division((("r",),), (("c",),))
@@ -43,7 +43,7 @@ _P = Atom("P", ("x",))
 
 # class -> (field names in order, uncompared field names, values, values differing in a compared field)
 RECORDS = {
-    Graph: (("vertices", "edges"), (), (_G.vertices, _G.edges), (_G.vertices, frozenset())),
+    Graph: (("names", "rows"), (), (_G.names, _G.rows), (_G.names, (0, 0))),
     ContractionStep: (("u", "v", "merged"), (), ("a", "b", "ab"), ("a", "b", "ba")),
     SolveResult: (
         ("value", "optimal", "sequence", "nodes_explored"),
@@ -271,7 +271,7 @@ def test_uncompared_fields_ignored_by_eq_and_hash():
 @pytest.mark.parametrize(
     "cls, values",
     [
-        (Graph, (frozenset({"a"}), frozenset({("a", "a")}))),
+        (Graph, (("a",), (0b1,))),
         (TriMatrix, (("r", "r"), ("c",), (b"\x01", b"\x01"))),
         (Division, (((),), (("c",),))),
         (IntervalLikeRep, (("x",), frozenset(), "bogus")),
