@@ -505,6 +505,19 @@ def test_bulk_perturb_json_pinned(tmp_path):
     assert hashlib.sha256(out.encode()).hexdigest() == "f2e39a2d9d5054bee62e9d14ea6603bb63a28b749e9399852a72753c08146f60"
 
 
+def test_bulk_greedy_json_pinned(tmp_path):
+    """``tww greedy --json`` on a graph of the ``bulk`` benchmark's shape: G(180, .1)."""
+    rng = random.Random(180)
+    vs = [f"n{i}" for i in range(180)]  # names sort unlike their ranks: n17 < n2
+    rng.shuffle(vs)
+    es = [(vs[i], vs[j]) for i in range(180) for j in range(i + 1, 180) if rng.random() < 0.1]
+    path = tmp_path / "g180.g"
+    path.write_text(f"graph g 180 {len(es)}\n" + "".join(f"v {v}\n" for v in vs) + "".join(f"e {a} {b}\n" for a, b in es))
+    code, out = run_stdout(["tww", "greedy", "--graph", str(path), "--json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == "c180bcd7672ba76497bbfcc45cba206970ce82c5598e2b40cd7294d7aac2c9e6"
+
+
 # sha256 of `condense --json` on seeded_intervals_text(200, seed=3), per kind
 CONDENSE200_SHA256 = {
     "interval": "72721b68d6ab88e98b89650f7db3eb42964964713a0ac06daa5e222468a9dcde",
