@@ -126,6 +126,10 @@ class SequenceError(DomainError):
     """A contraction sequence is malformed (wrong length or missing vertices)."""
 
 
+# a row's binary digit characters as the bytes 0 and 1, for ``itertools.compress``
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
 def _bits(mask: int):
     while mask:
         low = mask & -mask
@@ -246,6 +250,21 @@ def find_twins(g: Graph) -> list[tuple[str, str]]:
     return [(names[i], names[j]) for i, j in pairs if not (rows[i] ^ rows[j]) & ~(1 << i | 1 << j)]
 
 
+def first_twin_pair(g: Graph) -> tuple[str, str] | None:
+    """``find_twins(g)[0]``, or None, from one pass that groups the rows.
+
+    Non-adjacent twins have equal rows and adjacent twins have equal rows
+    with their own bits set, so each group of equal keys is a set of twins,
+    and its first two members are its least pair.
+    """
+    groups: dict[tuple[bool, int], list[int]] = {}
+    for i, row in enumerate(g.rows):
+        groups.setdefault((False, row), []).append(i)
+        groups.setdefault((True, row | 1 << i), []).append(i)
+    first = min((group[:2] for group in groups.values() if len(group) > 1), default=None)
+    return first and (g.names[first[0]], g.names[first[1]])
+
+
 # ---------------------------------------------------------------------------
 # isomorphism at desk scale
 
@@ -300,10 +319,13 @@ def edge_rows(g: Graph) -> Iterator[list[int]]:
     """Per vertex, in name order, the ascending ranks of its later neighbours: its row's bits above its own.
 
     Row after row, these are the edges in ``sorted(g.edges)`` order, with no
-    string comparison and no edge set.  Every vertex has a row, possibly empty.
+    string comparison and no edge set.  Every vertex has a row, possibly
+    empty.  The binary digits of the row above its own bit are read once, as
+    one byte per digit, lowest first, and select the later ranks at C level.
     """
+    n = len(g.rows)
     for i, row in enumerate(g.rows):
-        yield list(_bits(row >> i + 1 << i + 1))
+        yield list(itertools.compress(range(i + 1, n), bin(row >> i + 1)[:1:-1].encode().translate(_DIGITS)))
 
 
 def graph_lines(g: Graph, name: str = "g") -> Iterator[str]:
@@ -312,7 +334,8 @@ def graph_lines(g: Graph, name: str = "g") -> Iterator[str]:
     yield f"graph {name} {len(names)} {sum(map(int.bit_count, g.rows)) // 2}\n" + "".join(f"v {v}\n" for v in names)
     for u, later in zip(names, edge_rows(g)):
         if later:
-            yield "".join(f"e {u} {names[j]}\n" for j in later)
+            head = f"e {u} "
+            yield head + f"\n{head}".join(map(names.__getitem__, later)) + "\n"
 
 
 def graph_to_text(g: Graph, name: str = "g") -> str:

@@ -84,12 +84,15 @@ def rep_from_intervals(
     """Normalize endpoint values to ranked opaque ends and collect the pairs.
 
     Duplicate intervals (same left and right value) are rejected: the decoded
-    graph's vertices are the distinct pairs.
+    graph's vertices are the distinct pairs.  An ``int`` value is kept as it
+    is and any other becomes a ``Fraction``; the two compare and hash alike,
+    so ``2`` and ``4/2`` are one value.
     """
-    seen: set[tuple[Fraction, Fraction]] = set()
+    seen: set[tuple[Fraction | int, Fraction | int]] = set()
     norm = []
     for ident, left, right in intervals:
-        l, r = Fraction(left), Fraction(right)
+        l = left if type(left) is int else Fraction(left)
+        r = right if type(right) is int else Fraction(right)
         if l > r:
             raise DomainError(f"interval {ident!r} has left > right")
         if (l, r) in seen:
@@ -332,7 +335,12 @@ def intervals_to_text(intervals: Iterable[tuple[str, Fraction | int, Fraction | 
     return "".join(f"i {ident} {left} {right}\n" for ident, left, right in intervals)
 
 
-def intervals_from_text(text: str) -> list[tuple[str, Fraction, Fraction]]:
+def _endpoint(token: str) -> Fraction | int:
+    """An endpoint value: ``int`` for a token of ASCII digits only, else ``Fraction(token)``."""
+    return int(token) if token.isascii() and token.isdigit() else Fraction(token)
+
+
+def intervals_from_text(text: str) -> list[tuple[str, Fraction | int, Fraction | int]]:
     out = []
     for ln in text.splitlines():
         if not ln.strip():
@@ -341,7 +349,7 @@ def intervals_from_text(text: str) -> list[tuple[str, Fraction, Fraction]]:
         if len(parts) != 4 or parts[0] != "i":
             raise FormatError(f"bad interval line: {ln!r}")
         try:
-            out.append((parts[1], Fraction(parts[2]), Fraction(parts[3])))
+            out.append((parts[1], _endpoint(parts[2]), _endpoint(parts[3])))
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"bad interval bounds in {ln!r}") from exc
     return out

@@ -25,7 +25,7 @@ import math
 from typing import Iterable, Sequence
 
 from .errors import CapExceeded, DomainError, ExtractionError
-from .graphs import Graph, check_permutation, find_twins, inverse_permutation
+from .graphs import Graph, check_permutation, first_twin_pair, inverse_permutation
 from .ilrep import INTERVAL, OVERLAP, IlMatrix, IntervalLikeRep, build_ilmatrix, decode, pair_name
 from .records import record
 from .trimatrix import Division, MixedMinorWitness, find_mixed_minor, permutation_matrix, verify_division_mixed
@@ -278,9 +278,9 @@ def interval_exposure_witness(
     if rep.kind != INTERVAL:
         raise DomainError("exposure witnesses need an interval representation")
     g = decode(rep)
-    twins = find_twins(g)
-    if twins:
-        raise DomainError(f"graph has twins, e.g. {twins[0]}; exposure extraction needs a twin-free graph")
+    pair = first_twin_pair(g)
+    if pair:
+        raise DomainError(f"graph has twins, e.g. {pair}; exposure extraction needs a twin-free graph")
 
     ilm = build_ilmatrix(rep)
     inv = inverse_permutation(w)

@@ -12,11 +12,13 @@ is the only move the walk tries from that state.
 The greedy solver is a bitmask heuristic for graphs far beyond the exact
 cap; it merges with ``graphs._contract_masks``, the rule that
 ``graphs.sequence_width`` replays when a sequence is verified.  That rule
-changes only the masks of the merged vertex and of its neighbours, and a
-pair's merged red count depends on its two ends' masks alone, so the greedy
-keeps every pair's count between steps: a pair with neither end among those
-vertices keeps it, and only the pairs with an end among them are adjusted
-or recounted.  Both solvers name a merged vertex ``u + v``, primed while a
+changes the masks of the merged vertex, and those of its neighbours only at
+the two merged bits.  A pair's merged red count depends on its two ends'
+masks alone, so the greedy keeps every pair's count between steps: a pair
+with neither end among those vertices keeps it, a pair of a neighbour with
+a vertex outside them moves by -1 or 0 (a whole row of counts shifts at
+once), and only the pairs at the merged vertex or with both ends at
+neighbours are recounted.  Both solvers name a merged vertex ``u + v``, primed while a
 live vertex has that name, so every sequence they emit re-verifies.
 """
 
@@ -116,14 +118,18 @@ def twinwidth_greedy(g: Graph) -> SolveResult:
     Ties break lexicographically on the (sorted) pair of group names.  Each
     live vertex keeps its pairs' merged red counts with every later live
     vertex, and a lower bound on their minimum.  Merging b into a changes
-    only the masks of a and of its neighbours T, so a pair with no end in
-    T + {a} keeps its count, and a pair with one end x in T changes by
-    1 - [x~a] - [x~b]: by -1 if x was a common neighbour of a and b, else
-    not at all.  Only the rows of a and T are recomputed.  Rows are scanned
-    by rising bound, and a pair whose count exceeds the best width so far is
-    skipped.  A pair that passes is scored by one scan of the live vertices,
-    sorted by falling red degree, which stops once a degree + 1 cannot raise
-    the width.  ``nodes_explored`` still counts every live pair of every step.
+    the masks of a, and those of its neighbours T only at bits a and b.  So
+    a pair with no end in T + {a} keeps its count, and a pair of x in T with
+    y outside T + {a} moves by 1 - [x~a] - [x~b]: by -1 if x was a common
+    neighbour of a and b, else not at all.  The row of a is recounted.  The
+    row of x in T is shifted by -1 as a whole, with its bound, if x was a
+    common neighbour, and is recounted only at the later members of
+    T + {a}.  Every other row is recounted at a and lowered by 1 at its
+    later common neighbours.  Rows are scanned by rising bound, and a pair
+    whose count exceeds the best width so far is skipped.  A pair that
+    passes is scored by one scan of the live vertices, sorted by falling red
+    degree, which stops once a degree + 1 cannot raise the width.
+    ``nodes_explored`` still counts every live pair of every step.
     """
     if not g.names:
         raise DomainError("empty graph has no contraction sequence")
@@ -183,24 +189,39 @@ def twinwidth_greedy(g: Graph) -> SolveResult:
         del names[b]
         value = max(value, width)
 
-        # b leaves every list; a and its neighbours are recounted; every other
-        # row gets a fresh count with a and -1 at later common neighbours
+        # b leaves every list and a's row is recounted; a neighbour's row
+        # shifts by -1 if it was a common neighbour, and is recounted at
+        # later neighbours and a; every other row gets a fresh count with a
+        # and -1 at later common neighbours
         pb = bisect_left(slots, b)
         del slots[pb], closed[pb], blk[pb], rows[pb], low[pb]
         for p in range(pb):
             del rows[p][pb - p - 1]
         changed = black[a] | red[a] | 1 << a
+        changed_pos = []
         for w in _bits(changed):
             q = bisect_left(slots, w)
             closed[q], blk[q] = red[w] | 1 << w, black[w]
+            changed_pos.append(q)
         pa = bisect_left(slots, a)
         common_pos = [bisect_left(slots, w) for w in _bits(common)]
         for p, x in enumerate(slots):
-            if changed >> x & 1:
+            if p == pa:
                 rows[p] = _pair_counts(closed, blk, p)
                 low[p] = min(rows[p], default=0)
                 continue
             row = rows[p]
+            if changed >> x & 1:
+                if common >> x & 1:
+                    row[:] = map((-1).__add__, row)
+                    low[p] -= 1
+                c, bk = closed[p], blk[p]
+                later = changed_pos[bisect_right(changed_pos, p) :]
+                counts = [(c | closed[q] | (bk ^ blk[q])).bit_count() for q in later]
+                for q, count in zip(later, counts):
+                    row[q - p - 1] = count
+                low[p] = min([low[p], *counts])
+                continue
             if p < pa:
                 row[pa - p - 1] = (closed[p] | closed[pa] | (blk[p] ^ blk[pa])).bit_count()
                 low[p] = min(low[p], row[pa - p - 1])

@@ -1,5 +1,8 @@
+import io
 import itertools
+import json
 import random
+from contextlib import redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +14,10 @@ from twinwidth.graphs import (
     SequenceError,
     _bits,
     _contract_masks,
+    edge_rows,
     find_twins,
+    first_twin_pair,
+    graph_lines,
     graph_from_text,
     graph_to_text,
     inverse_permutation,
@@ -22,6 +28,7 @@ from twinwidth.graphs import (
     sequence_to_text,
     sequence_width,
 )
+from twinwidth.cli import _emit_json
 from twinwidth.perturb import apply_perturbation
 from twinwidth.solver import twinwidth_exact, twinwidth_greedy
 from twinwidth.trimatrix import adjacency_matrix
@@ -307,6 +314,56 @@ def test_graph_matches_plain_set_oracle():
         for subset in script:
             toggled ^= plain_edges(itertools.combinations(subset, 2))
         assert apply_perturbation(g, script).edges == as_pairs(toggled)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 300])
+def test_edge_rows_and_writers_match_pairwise_oracle(n):
+    """``edge_rows``, the ``.g`` text, graph JSON and ``Graph.edges`` on seeded G(n, p), against a pairwise oracle.
+
+    The last case is a star whose centre is the last name, so every other
+    row has one bit, far above its own.
+    """
+    rng = random.Random(n)
+    vs = [f"v{i}" for i in range(n)]  # names sort unlike their ranks: v10 < v2
+    names = sorted(vs)
+    cases = [[e for e in itertools.combinations(vs, 2) if rng.random() < p] for p in (0, 0.02, 0.5, 1)]
+    cases.append([(v, names[-1]) for v in names[:-1]])
+    for pairs in cases:
+        g = Graph.build(vs, pairs)
+        edges = plain_edges(pairs)
+        later = [[j for j in range(i + 1, n) if frozenset((names[i], names[j])) in edges] for i in range(n)]
+        assert list(edge_rows(g)) == later
+        assert g.edges == as_pairs(edges)
+        ordered = sorted(as_pairs(edges))
+        text = f"graph g {n} {len(ordered)}\n" + "".join(f"v {v}\n" for v in names) + "".join(f"e {u} {v}\n" for u, v in ordered)
+        assert graph_to_text(g) == "".join(graph_lines(g)) == text
+        out = io.StringIO()
+        with redirect_stdout(out):
+            _emit_json({"vertices": list(g.names), "edges": g})
+        assert out.getvalue() == json.dumps({"vertices": names, "edges": [list(e) for e in ordered]}, indent=2) + "\n"
+
+
+def test_first_twin_pair_matches_pairwise_twins():
+    """The grouped twin search names ``find_twins``'s first pair, on graphs with planted adjacent or non-adjacent twins and on twin-free ones."""
+    rng = random.Random(22)
+    kinds = {"adjacent": 0, "non-adjacent": 0, "none": 0}
+    for k in range(90):
+        n = rng.randint(2, 60)
+        vs = rng.sample(ORACLE_NAMES, n)
+        pairs = [e for e in itertools.combinations(vs, 2) if rng.random() < rng.choice((0.1, 0.5, 0.9))]
+        if k % 3:  # plant: vs[1] copies vs[0]'s neighbours, with or without the edge between them
+            copy, of = vs[1], vs[0]
+            pairs = [e for e in pairs if copy not in e]
+            pairs += [(copy, w) for u, w in pairs if u == of] + [(copy, u) for u, w in pairs if w == of]
+            if k % 3 == 1:
+                pairs.append((copy, of))
+        g = Graph.build(vs, pairs)
+        twins = find_twins(g)
+        assert first_twin_pair(g) == (twins[0] if twins else None)
+        kinds["none" if not twins else "adjacent" if g.has_edge(*twins[0]) else "non-adjacent"] += 1
+    assert min(kinds.values()) >= 10, kinds
+    for path in (path_graph("abcd"), path_graph("abcdefghij")):
+        assert not find_twins(path) and first_twin_pair(path) is None
 
 
 @pytest.mark.parametrize(

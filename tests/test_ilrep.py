@@ -1,11 +1,13 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from twinwidth import ilrep
-from twinwidth.errors import DomainError
+from twinwidth.errors import DomainError, FormatError
 from twinwidth.graphs import is_isomorphic
 from twinwidth.ilrep import (
     INTERVAL,
@@ -400,8 +402,6 @@ def test_legal_unification_never_removes_an_edge():
 
 
 def test_interval_text_roundtrip():
-    from fractions import Fraction
-
     intervals = [("x", Fraction(1, 2), Fraction(3, 2)), ("y", 0, 2)]
     assert intervals_from_text(intervals_to_text(intervals)) == [
         ("x", Fraction(1, 2), Fraction(3, 2)),
@@ -415,3 +415,33 @@ def test_rep_to_intervals_roundtrip(demo6_rep):
     out = rep_to_intervals(demo6_rep)
     rebuilt = rep_from_intervals(out, INTERVAL)
     assert rebuilt.pairs == demo6_rep.pairs and rebuilt.ends == demo6_rep.ends
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet="0123456789+-/._e٣²", min_size=1, max_size=8))
+@example("007")
+@example("٣")
+@example("²")
+@example("1_0")
+@example("-2")
+@example("1e3")
+@example("6/4")
+@example("1/0")
+def test_endpoint_tokens_read_like_fraction(token):
+    """An endpoint equals ``Fraction(token)`` and hashes alike; the parse fails exactly where ``Fraction`` does."""
+    try:
+        want = Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(FormatError):
+            intervals_from_text(f"i x {token} {token}\n")
+        return
+    [(_, left, right)] = intervals_from_text(f"i x {token} {token}\n")
+    assert left == right == want and hash(left) == hash(want)
+    assert type(left) is (int if token.isascii() and token.isdigit() else Fraction)
+
+
+@pytest.mark.parametrize("text", ["i a 2 3\ni b 4/2 3\n", "i a 4/2 3\ni b 2 3\n", "i a 2 3\ni b 2.0 3\n"])
+def test_integer_and_fraction_endpoints_are_one_value(text):
+    with pytest.raises(DomainError) as err:
+        rep_from_intervals(intervals_from_text(text), INTERVAL)
+    assert str(err.value) == "duplicate interval 'b': (2, 3) appears twice"

@@ -5,7 +5,7 @@ import pytest
 
 from twinwidth import obstruction
 from twinwidth.errors import CapExceeded, DomainError, ExtractionError
-from twinwidth.graphs import Graph, is_isomorphic, permutation_graph
+from twinwidth.graphs import Graph, find_twins, is_isomorphic, permutation_graph
 from twinwidth.ilrep import (
     INTERVAL,
     OVERLAP,
@@ -13,6 +13,7 @@ from twinwidth.ilrep import (
     build_ilmatrix,
     condense,
     decode,
+    intervals_from_text,
     rep_from_intervals,
     unify,
 )
@@ -30,7 +31,7 @@ from twinwidth.obstruction import (
     reversal,
 )
 from twinwidth.trimatrix import find_mixed_minor, permutation_matrix, verify_division_mixed
-from conftest import interval_vertex_map
+from conftest import interval_vertex_map, seeded_intervals_text
 
 
 def all_perms(p):
@@ -155,9 +156,14 @@ def test_exposure_witness_all_small_perms():
 
 
 def test_exposure_witness_rejects_twins():
-    rep = IntervalLikeRep(("a", "b", "c"), frozenset({("a", "b"), ("a", "c")}), INTERVAL)
-    with pytest.raises(DomainError, match="twin"):
-        interval_exposure_witness(rep, (1,))
+    """The message names ``find_twins``'s first pair: on two nested intervals, and on the seeded 1 000-interval model (141 twin pairs)."""
+    small = IntervalLikeRep(("a", "b", "c"), frozenset({("a", "b"), ("a", "c")}), INTERVAL)
+    large = rep_from_intervals(intervals_from_text(seeded_intervals_text()), INTERVAL)
+    for rep in (small, large):
+        first = find_twins(decode(rep))[0]
+        with pytest.raises(DomainError) as err:
+            interval_exposure_witness(rep, (1,))
+        assert str(err.value) == f"graph has twins, e.g. {first}; exposure extraction needs a twin-free graph"
 
 
 def test_exposure_witness_mate_resolution_failure():

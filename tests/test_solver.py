@@ -155,14 +155,28 @@ def greedy_corpus(seed=47, count=180, sizes=(1, 45), densities=(0.05, 0.1, 0.2, 
         yield Graph.build(vs, [e for e in itertools.combinations(vs, 2) if rng.random() < p])
 
 
+def interval_corpus(seed=50, count=3, sizes=(60, 100)):
+    """Seeded random interval graphs: left ends in [0, 2n), lengths in [0, 2n/3)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(*sizes)
+        spans = [(a, a + rng.randrange(2 * n // 3)) for a in (rng.randrange(2 * n) for _ in range(n))]
+        vs = [f"v{i}" for i in range(n)]
+        edges = [(vs[i], vs[j]) for i, j in itertools.combinations(range(n), 2) if spans[i][0] <= spans[j][1] and spans[j][0] <= spans[i][1]]
+        yield Graph.build(vs, edges)
+
+
 def test_greedy_matches_reference():
-    """The small corpus, then larger sparse graphs and two dense ones, whose
-    kept pair counts go through many deletions and common-neighbour
-    decrements."""
+    """The small corpus, then larger sparse graphs and dense ones, whose kept
+    pair counts go through many deletions, common-neighbour decrements and
+    whole-row shifts: in interval graphs and G(n, .3-.6) the merged vertex
+    neighbours most of the graph."""
     corpora = itertools.chain(
         greedy_corpus(),
         greedy_corpus(seed=48, count=12, sizes=(60, 120), densities=(0.03, 0.05, 0.08, 0.1, 0.15)),
         greedy_corpus(seed=49, count=2, sizes=(60, 100), densities=(0.9,)),
+        greedy_corpus(seed=51, count=3, sizes=(60, 100), densities=(0.3, 0.45, 0.6)),
+        interval_corpus(),
     )
     primed = 0
     for g in corpora:
