@@ -262,7 +262,10 @@ def first_twin_pair(g: Graph) -> tuple[str, str] | None:
         groups.setdefault((False, row), []).append(i)
         groups.setdefault((True, row | 1 << i), []).append(i)
     first = min((group[:2] for group in groups.values() if len(group) > 1), default=None)
-    return first and (g.names[first[0]], g.names[first[1]])
+    if first is None:
+        return None
+    i, j = first
+    return g.names[i], g.names[j]
 
 
 # ---------------------------------------------------------------------------
