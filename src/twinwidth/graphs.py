@@ -324,11 +324,12 @@ def edge_rows(g: Graph) -> Iterator[list[int]]:
     Row after row, these are the edges in ``sorted(g.edges)`` order, with no
     string comparison and no edge set.  Every vertex has a row, possibly
     empty.  The binary digits of the row above its own bit are read once, as
-    one byte per digit, lowest first, and select the later ranks at C level.
+    one byte per digit, lowest first, and select the later ranks at C level
+    from one shared tuple of ranks, so no rank is built twice.
     """
-    n = len(g.rows)
+    ranks = tuple(range(len(g.rows)))
     for i, row in enumerate(g.rows):
-        yield list(itertools.compress(range(i + 1, n), bin(row >> i + 1)[:1:-1].encode().translate(_DIGITS)))
+        yield list(itertools.compress(ranks[i + 1 :], bin(row >> i + 1)[:1:-1].encode().translate(_DIGITS)))
 
 
 def graph_lines(g: Graph, name: str = "g") -> Iterator[str]:

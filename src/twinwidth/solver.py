@@ -122,13 +122,15 @@ def twinwidth_greedy(g: Graph) -> SolveResult:
     a pair with no end in T + {a} keeps its count, and a pair of x in T with
     y outside T + {a} moves by 1 - [x~a] - [x~b]: by -1 if x was a common
     neighbour of a and b, else not at all.  The row of a is recounted.  The
-    row of x in T is shifted by -1 as a whole, with its bound, if x was a
-    common neighbour, and is recounted only at the later members of
-    T + {a}.  Every other row is recounted at a and lowered by 1 at its
+    row of x in T is shifted by -1 as a whole if x was a common neighbour
+    (each row keeps one shift, added to every count it stores), is
+    recounted only at the later members of T + {a}, and takes its minimum
+    as its bound.  Every other row is recounted at a and lowered by 1 at its
     later common neighbours.  Rows are scanned by rising bound, and a pair
     whose count exceeds the best width so far is skipped.  A pair that
-    passes is scored by one scan of the live vertices, sorted by falling red
-    degree, which stops once a degree + 1 cannot raise the width.
+    passes is scored by one scan of the red degrees, falling, each with the
+    mask of live vertices that have it, which stops once a degree + 1 cannot
+    raise the width.
     ``nodes_explored`` still counts every live pair of every step.
     """
     if not g.names:
@@ -138,11 +140,13 @@ def twinwidth_greedy(g: Graph) -> SolveResult:
     names: dict[int, str] = dict(enumerate(order))  # the live vertices
     live = set(order)
     # per live position, in slot order: slot, closed red mask, black mask,
-    # counts + 2 with every later position, and a lower bound on their minimum
+    # counts + 2 with every later position less a shift kept for the whole
+    # row, that shift, and a lower bound on the row's minimum count
     slots = list(range(len(order)))
     closed = [1 << x for x in slots]
     blk = list(black)
     rows = [_pair_counts(closed, blk, p) for p in slots]
+    shift = [0] * len(order)
     low = [min(row, default=0) for row in rows]
     steps: list[ContractionStep] = []
     value = 0
@@ -151,29 +155,39 @@ def twinwidth_greedy(g: Graph) -> SolveResult:
     while len(names) > 1:
         k = len(slots)
         nodes += k * (k - 1) // 2
-        ranked = sorted(((red[w].bit_count(), w) for w in names), reverse=True)
+        # the live vertices by red degree, one mask per degree, highest first
+        levels: dict[int, int] = {}
+        for w in names:
+            d = red[w].bit_count()
+            levels[d] = levels.get(d, 0) | 1 << w
+        ranked = sorted(levels.items(), reverse=True)
         best: tuple[int, str, str, int, int] | None = None
         limit = k  # best width + 2; no count exceeds k - 2
         for p in sorted(range(k - 1), key=low.__getitem__):
             if low[p] > limit:
                 break
-            row = rows[p]
-            low[p] = min(row)
-            for j in itertools.compress(range(len(row)), map(limit.__ge__, row)):
-                if row[j] > limit:  # the limit fell after compress read it
+            row, s = rows[p], shift[p]
+            low[p] = min(row) + s
+            for j in itertools.compress(range(len(row)), map((limit - s).__ge__, row)):
+                if row[j] + s > limit:  # the limit fell after compress read it
                     continue
                 a, b = slots[p], slots[p + 1 + j]
-                width = row[j] - 2
+                width = row[j] + s - 2
                 pair_bits = (1 << a) | (1 << b)
                 red_m = (red[a] | red[b] | (black[a] ^ black[b])) & ~pair_bits
                 # a vertex gains a red edge to the merged vertex, or loses one of two
                 plus = red_m & ~(red[a] | red[b])
                 minus = red[a] & red[b]
-                for d, w in ranked:
+                for d, level in ranked:
                     if d + 1 <= width:
                         break
-                    if not pair_bits >> w & 1:
-                        width = max(width, d + (plus >> w & 1) - (minus >> w & 1))
+                    level &= ~pair_bits
+                    if level & plus:
+                        width = d + 1
+                    elif level & ~minus:
+                        width = max(width, d)
+                    elif level:
+                        width = max(width, d - 1)
                 if names[b] < names[a]:
                     a, b = b, a
                 candidate = (width, names[a], names[b], a, b)
@@ -191,10 +205,11 @@ def twinwidth_greedy(g: Graph) -> SolveResult:
 
         # b leaves every list and a's row is recounted; a neighbour's row
         # shifts by -1 if it was a common neighbour, and is recounted at
-        # later neighbours and a; every other row gets a fresh count with a
-        # and -1 at later common neighbours
+        # later neighbours and a; every other row up to the last of a and the
+        # common neighbours gets a fresh count with a and -1 at later common
+        # neighbours
         pb = bisect_left(slots, b)
-        del slots[pb], closed[pb], blk[pb], rows[pb], low[pb]
+        del slots[pb], closed[pb], blk[pb], rows[pb], shift[pb], low[pb]
         for p in range(pb):
             del rows[p][pb - p - 1]
         changed = black[a] | red[a] | 1 << a
@@ -204,27 +219,30 @@ def twinwidth_greedy(g: Graph) -> SolveResult:
             closed[q], blk[q] = red[w] | 1 << w, black[w]
             changed_pos.append(q)
         pa = bisect_left(slots, a)
-        common_pos = [bisect_left(slots, w) for w in _bits(common)]
-        for p, x in enumerate(slots):
+        rows[pa], shift[pa] = _pair_counts(closed, blk, pa), 0
+        low[pa] = min(rows[pa], default=0)
+        for t, p in enumerate(changed_pos, 1):
             if p == pa:
-                rows[p] = _pair_counts(closed, blk, p)
-                low[p] = min(rows[p], default=0)
+                continue
+            if common >> slots[p] & 1:
+                shift[p] -= 1
+            row, s, c, bk = rows[p], shift[p], closed[p], blk[p]
+            later = changed_pos[t:]
+            counts = [(c | closed[q] | (bk ^ blk[q])).bit_count() for q in later]
+            for q, count in zip(later, counts):
+                row[q - p - 1] = count - s
+            low[p] = min(row, default=0) + s
+        common_pos = [bisect_left(slots, w) for w in _bits(common)]
+        ca, ba = closed[pa], blk[pa]
+        for p in range(max(pa, common_pos[-1] if common_pos else 0)):
+            if changed >> slots[p] & 1:
                 continue
             row = rows[p]
-            if changed >> x & 1:
-                if common >> x & 1:
-                    row[:] = map((-1).__add__, row)
-                    low[p] -= 1
-                c, bk = closed[p], blk[p]
-                later = changed_pos[bisect_right(changed_pos, p) :]
-                counts = [(c | closed[q] | (bk ^ blk[q])).bit_count() for q in later]
-                for q, count in zip(later, counts):
-                    row[q - p - 1] = count
-                low[p] = min([low[p], *counts])
-                continue
             if p < pa:
-                row[pa - p - 1] = (closed[p] | closed[pa] | (blk[p] ^ blk[pa])).bit_count()
-                low[p] = min(low[p], row[pa - p - 1])
+                count = (closed[p] | ca | (blk[p] ^ ba)).bit_count()
+                row[pa - p - 1] = count - shift[p]
+                if count < low[p]:
+                    low[p] = count
             later = common_pos[bisect_right(common_pos, p) :]
             for q in later:
                 row[q - p - 1] -= 1
