@@ -18,8 +18,9 @@ masks alone, so the greedy keeps every pair's count between steps: a pair
 with neither end among those vertices keeps it, a pair of a neighbour with
 a vertex outside them moves by -1 or 0 (a whole row of counts shifts at
 once), and only the pairs at the merged vertex or with both ends at
-neighbours are recounted.  Both solvers name a merged vertex ``u + v``, primed while a
-live vertex has that name, so every sequence they emit re-verifies.
+neighbours are recounted.  Both solvers name a merged vertex ``u + v``,
+primed while a live vertex has that name, so every sequence they emit
+re-verifies.
 """
 
 from __future__ import annotations
@@ -130,8 +131,8 @@ def twinwidth_greedy(g: Graph) -> SolveResult:
     whose count exceeds the best width so far is skipped.  A pair that
     passes is scored by one scan of the red degrees, falling, each with the
     mask of live vertices that have it, which stops once a degree + 1 cannot
-    raise the width.
-    ``nodes_explored`` still counts every live pair of every step.
+    raise the width.  ``nodes_explored`` still counts every live pair of
+    every step.
     """
     if not g.names:
         raise DomainError("empty graph has no contraction sequence")
@@ -227,10 +228,8 @@ def twinwidth_greedy(g: Graph) -> SolveResult:
             if common >> slots[p] & 1:
                 shift[p] -= 1
             row, s, c, bk = rows[p], shift[p], closed[p], blk[p]
-            later = changed_pos[t:]
-            counts = [(c | closed[q] | (bk ^ blk[q])).bit_count() for q in later]
-            for q, count in zip(later, counts):
-                row[q - p - 1] = count - s
+            for q in changed_pos[t:]:
+                row[q - p - 1] = (c | closed[q] | (bk ^ blk[q])).bit_count() - s
             low[p] = min(row, default=0) + s
         common_pos = [bisect_left(slots, w) for w in _bits(common)]
         ca, ba = closed[pa], blk[pa]
