@@ -3,13 +3,17 @@
 Formulas are plain syntax trees; structures carry a finite domain, named
 binary relations and named unary marks.  Each ``evaluate`` or ``interpret``
 call compiles its formulas once into nested closures over element indices,
-with one bitmask per mark and per element of each relation; every atom's
-relation, mark and arity is checked before anything is evaluated.  Evaluation
-expands quantifiers over the domain with short-circuiting and a budget that
-counts quantifier instantiations (one per element a quantifier binds).
-Subformula truth is memoized per assignment of its free variables, but only
-where a later visit could hit the entry, so values and budget use are those
-of memoizing every subformula.
+with one bitmask per mark and per row and per column of each relation; every
+atom's relation, mark and arity is checked before anything is evaluated.  A
+quantifier whose body holds no quantifier decides by one sweep: the body
+yields the bitmask of the elements that satisfy it, and its lowest set bit is
+the first element that decides.  Other quantifiers expand over the domain
+with short-circuiting.  The budget counts quantifier instantiations, one per
+element a quantifier binds up to the first that decides, and a sweep charges
+exactly the instantiations that expanding would make.  Subformula truth is
+memoized per assignment of its free variables, but only where a later visit
+could hit the entry, so values and budget use are those of memoizing every
+subformula.
 
 Interpretations rewrite formulas instead of structures where needed: a graph
 formula is translated onto a representation matrix structure (domain rows
@@ -26,8 +30,9 @@ Each formula rule is stated once: ``_children`` lists a node's children,
 from __future__ import annotations
 
 import itertools
-from functools import cache, cached_property
-from operator import attrgetter, itemgetter
+from collections import Counter
+from functools import cache, cached_property, reduce
+from operator import and_, attrgetter, itemgetter, or_
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded, DomainError, FormatError
@@ -295,27 +300,40 @@ def _compile(st: Structure, roots: Sequence[tuple[Sequence[str], Formula]], budg
     """Compile each (params, formula) root into a closure from param element indices to truth.
 
     Elements are 0..D-1, every binding is a slot of one shared ``env`` list,
-    and all roots share the budget and the memo.  A memo entry is keyed by the
-    node and the values of its sorted free variables, and is kept only where
-    a later visit could hit it: a leaf is recomputed, and so is a node whose
-    free variables are every visible binding, none shadowed, when neither it
-    nor an ancestor occurs twice in the trees.
+    and all roots share the budget and the memo.
+
+    A quantifier whose body holds no quantifier decides by one sweep: the body
+    compiles to a closure that returns, under ``env``, the bitmask of the
+    elements for which it holds, and the lowest set bit of that mask (of its
+    complement, for ``forall``) is the first element that decides.  The
+    quantifier charges that element's position + 1, or D when none decides:
+    the instantiations that expanding it element by element would make.
+
+    A memo entry is keyed by the node and the values of its sorted free
+    variables, and is kept only where a later visit could hit it.  A leaf is
+    recomputed, and so is a unique node (neither it nor an ancestor occurs
+    twice in the trees) when either its free variables are every visible
+    binding, none shadowed, or its key slots are those of its nearest
+    memoized ancestor with no quantifier at or between the two: that ancestor
+    evaluates it at most once per miss.  A quantifier evaluates its body once
+    per element, so the second rule starts afresh inside every body.
     """
     index = {a: i for i, a in enumerate(st.domain)}
     span = range(len(st.domain))
+    full = (1 << len(span)) - 1
     env: list[int] = []
     tables: dict[int, dict] = {}
     bits: dict[tuple[str, int], object] = {}
-    seen: dict[int, int] = {}
+    order: list[Formula] = []
     stack = []
     for params, f in roots:
         unbound = f.free_vars - set(params)
         if unbound:
             raise DomainError(f"formula has free variables: {sorted(unbound)}")
         stack.append(f)
-    while stack:  # count occurrences and check every atom against st before any evaluation
+    while stack:  # list occurrences and check every atom against st before any evaluation
         f = stack.pop()
-        seen[id(f)] = seen.get(id(f), 0) + 1
+        order.append(f)
         stack.extend(_children(f))
         if isinstance(f, Atom) and (f.rel, len(f.args)) not in bits:
             if len(f.args) == 1:
@@ -325,15 +343,23 @@ def _compile(st: Structure, roots: Sequence[tuple[Sequence[str], Formula]], budg
             elif len(f.args) == 2:
                 if f.rel not in st.relations:
                     raise DomainError(f"unknown relation {f.rel!r}")
-                rows = bits[f.rel, 2] = [0] * len(span)
+                rows, cols = [0] * len(span), [0] * len(span)
                 for a, b in st.relations[f.rel]:
-                    rows[index[a]] |= 1 << index[b]
+                    i, j = index[a], index[b]
+                    rows[i] |= 1 << j
+                    cols[j] |= 1 << i
+                bits[f.rel, 2] = rows, cols, sum(1 << i for i in span if rows[i] >> i & 1)
             else:
                 raise DomainError(f"relation {f.rel!r} has unsupported arity {len(f.args)}")
+    seen = Counter(map(id, order))
+    quantified = set()  # ids of the nodes with a quantifier at or below them; children come first
+    for f in reversed(order):
+        if isinstance(f, (Exists, Forall)) or any(id(c) in quantified for c in _children(f)):
+            quantified.add(id(f))
 
     # A quantifier keeps its own memo instead of sitting under ``memoized``, so
     # a chain of them costs one frame per level, not two.
-    def quantifier(body, s: int, exists: bool, table: dict | None, key_of):
+    def quantifier(body, s: int, exists: bool, swept: bool, table: dict | None, key_of):
         def run():
             nonlocal budget
             if table is not None:
@@ -341,19 +367,27 @@ def _compile(st: Structure, roots: Sequence[tuple[Sequence[str], Formula]], budg
                 hit = table.get(key)
                 if hit is not None:
                     return hit
-            value = not exists
-            for el in span:
-                budget -= 1
-                if budget < 0:
+            if swept:
+                deciding = body() if exists else full ^ body()
+                count = (deciding & -deciding).bit_length() or len(span)
+                if count > budget and count:
                     raise BudgetExceeded("evaluation budget exhausted")
-                env[s] = el
-                if body():
-                    if exists:
-                        value = True
+                budget -= count
+                value = bool(deciding) == exists
+            else:
+                value = not exists
+                for el in span:
+                    budget -= 1
+                    if budget < 0:
+                        raise BudgetExceeded("evaluation budget exhausted")
+                    env[s] = el
+                    if body():
+                        if exists:
+                            value = True
+                            break
+                    elif not exists:
+                        value = False
                         break
-                elif not exists:
-                    value = False
-                    break
             if table is not None:
                 table[key] = value
             return value
@@ -370,7 +404,41 @@ def _compile(st: Structure, roots: Sequence[tuple[Sequence[str], Formula]], budg
 
         return run
 
-    def build(f: Formula, scope: dict[str, int], path: tuple[str, ...], unique: bool):
+    def sweep(f: Formula, scope: dict[str, int], s: int):
+        """The mask of the elements for which quantifier-free f holds with slot s bound to them."""
+        if isinstance(f, (Not, And, Or, Implies)):
+            parts = [sweep(p, scope, s) for p in _children(f)]
+            if isinstance(f, Not):
+                (body,) = parts
+                return lambda: full ^ body()
+            if isinstance(f, Implies):
+                left, right = parts
+                return lambda: (full ^ left()) | right()
+            conj = isinstance(f, And)
+            if len(parts) == 2:
+                a, b = parts
+                return (lambda: a() & b()) if conj else (lambda: a() | b())
+            op, unit = (and_, full) if conj else (or_, 0)
+            return lambda: reduce(op, [p() for p in parts], unit)
+        if isinstance(f, Atom) and s in (at := [scope[v] for v in f.args]):
+            if len(at) == 1:
+                m = bits[f.rel, 1]
+                return lambda: m
+            (a, b), (rows, cols, diag) = at, bits[f.rel, 2]
+            if a == b:
+                return lambda: diag
+            return (lambda: cols[env[b]]) if a == s else (lambda: rows[env[a]])
+        if isinstance(f, Eq) and s in (at := [scope[f.left], scope[f.right]]):
+            a, b = at
+            if a == b:
+                return lambda: full
+            other = b if a == s else a
+            return lambda: 1 << env[other]
+        truth = build(f, scope, (), True, None)  # a leaf without s holds for all elements or none
+        return lambda: full if truth() else 0
+
+    def build(f: Formula, scope: dict[str, int], path: tuple[str, ...], unique: bool, above):
+        """``above`` holds the key slots of the nearest memoized ancestor inside the innermost body, or None."""
         if isinstance(f, (TrueF, FalseF)):
             value = isinstance(f, TrueF)
             return lambda: value
@@ -378,24 +446,27 @@ def _compile(st: Structure, roots: Sequence[tuple[Sequence[str], Formula]], budg
             a, b = scope[f.left], scope[f.right]
             return lambda: env[a] == env[b]
         if isinstance(f, Atom):
-            m, a = bits[f.rel, len(f.args)], scope[f.args[0]]
+            a = scope[f.args[0]]
             if len(f.args) == 1:
+                m = bits[f.rel, 1]
                 return lambda: m >> env[a] & 1
-            b = scope[f.args[1]]
-            return lambda: m[env[a]] >> env[b] & 1
+            rows, b = bits[f.rel, 2][0], scope[f.args[1]]
+            return lambda: rows[env[a]] >> env[b] & 1
         unique = unique and seen[id(f)] == 1
+        slots = tuple(scope[v] for v in f._free_sorted)
         table = key_of = None
-        if not (unique and len(set(path)) == len(path) == len(f.free_vars)):
+        if not (unique and (slots == above or len(set(path)) == len(path) == len(slots))):
             table = tables.setdefault(id(f), {})
-            slots = [scope[v] for v in f._free_sorted]
             key_of = itemgetter(*slots) if slots else lambda env: ()
+            above = slots
         if isinstance(f, (Exists, Forall)):
             s = len(path)
             if s == len(env):
                 env.append(0)
-            body = build(f.body, {**scope, f.var: s}, path + (f.var,), unique)
-            return quantifier(body, s, isinstance(f, Exists), table, key_of)
-        parts = [build(p, scope, path, unique) for p in _children(f)]
+            inner, swept = {**scope, f.var: s}, id(f.body) not in quantified
+            body = sweep(f.body, inner, s) if swept else build(f.body, inner, path + (f.var,), unique, None)
+            return quantifier(body, s, isinstance(f, Exists), swept, table, key_of)
+        parts = [build(p, scope, path, unique, above) for p in _children(f)]
         if isinstance(f, Not):
             (body,) = parts
             raw = lambda: not body()
@@ -409,7 +480,7 @@ def _compile(st: Structure, roots: Sequence[tuple[Sequence[str], Formula]], budg
     def root(params: Sequence[str], f: Formula):
         path = tuple(params)
         env.extend([0] * (len(path) - len(env)))
-        run = build(f, {v: i for i, v in enumerate(path)}, path, True)
+        run = build(f, {v: i for i, v in enumerate(path)}, path, True, None)
 
         def call(*args: int) -> bool:
             env[: len(args)] = args

@@ -4,7 +4,8 @@ The oracles here recompute expected values by brute force along a different
 code path than the operations under test: full enumeration of contraction
 sequences, direct chord-crossing and interval-intersection predicates on the
 raw input values, full two-axis division enumeration for mixed minors, and
-plain recursion over formula syntax for first-order truth.
+plain recursion over formula syntax for first-order truth and for the exact
+number of quantifier instantiations that a fully memoized evaluation makes.
 """
 
 from __future__ import annotations
@@ -427,3 +428,69 @@ def naive_truth(st: fo.Structure, f: fo.Formula, env: dict[str, str] | None = No
         return not naive_truth(st, f.left, env) or naive_truth(st, f.right, env)
     pick = any if isinstance(f, fo.Exists) else all
     return pick(naive_truth(st, f.body, {**env, f.var: a}) for a in st.domain)
+
+
+def reference_free_vars(f: fo.Formula) -> frozenset[str]:
+    """Free variables of f, by plain recursion over the syntax."""
+    if isinstance(f, fo.Atom):
+        return frozenset(f.args)
+    if isinstance(f, fo.Eq):
+        return frozenset((f.left, f.right))
+    if isinstance(f, (fo.Exists, fo.Forall)):
+        return reference_free_vars(f.body) - {f.var}
+    if isinstance(f, fo.Not):
+        return reference_free_vars(f.body)
+    if isinstance(f, fo.Implies):
+        return reference_free_vars(f.left) | reference_free_vars(f.right)
+    return frozenset().union(*map(reference_free_vars, getattr(f, "parts", ())))
+
+
+class ReferenceEvaluator:
+    """Truth and exact budget use of formulas on one structure, by memoized recursion.
+
+    Every non-leaf node is memoized by its ``id`` and the values of its free
+    variables, and a quantifier charges one per element that it binds, in
+    domain order, up to the first element that decides.  All calls on one
+    evaluator share the memo and the count, as the roots of one ``evaluate``
+    or ``interpret`` call do.  There is no compilation, no bitmask and no
+    memo elision, so this shares nothing with ``fologic._compile``; the count
+    is the exact budget that ``evaluate`` and ``interpret`` must use.
+    """
+
+    def __init__(self, st: fo.Structure):
+        self.st, self.used, self.memo = st, 0, {}
+
+    def truth(self, f: fo.Formula, env: dict[str, str]) -> bool:
+        if isinstance(f, (fo.TrueF, fo.FalseF, fo.Atom, fo.Eq)):
+            return naive_truth(self.st, f, env)
+        key = (id(f), frozenset((v, env[v]) for v in reference_free_vars(f)))
+        if key not in self.memo:
+            self.memo[key] = self._expand(f, env)
+        return self.memo[key]
+
+    def _expand(self, f: fo.Formula, env: dict[str, str]) -> bool:
+        if isinstance(f, fo.Not):
+            return not self.truth(f.body, env)
+        if isinstance(f, fo.And):
+            return all(self.truth(p, env) for p in f.parts)
+        if isinstance(f, fo.Or):
+            return any(self.truth(p, env) for p in f.parts)
+        if isinstance(f, fo.Implies):
+            return not self.truth(f.left, env) or self.truth(f.right, env)
+        exists = isinstance(f, fo.Exists)
+        for a in self.st.domain:
+            self.used += 1
+            if self.truth(f.body, {**env, f.var: a}) == exists:
+                return exists
+        return not exists
+
+    def interpret(self, iota: fo.Interpretation) -> fo.Structure:
+        """``interpret``'s roots in its order: the domain formula per element, then each relation per pair."""
+        dom = tuple(a for a in self.st.domain if self.truth(iota.domain_formula, {iota.domain_var: a}))
+        rels = {
+            name: frozenset(
+                (a, b) for a, b in itertools.product(dom, repeat=2) if self.truth(body, dict(zip(params, (a, b))))
+            )
+            for name, (params, body) in iota.relations.items()
+        }
+        return fo.Structure(dom, rels, {})

@@ -18,9 +18,12 @@ from twinwidth.fologic import (
     Forall,
     Formula,
     Implies,
+    Interpretation,
     Not,
     Or,
+    Structure,
     TrueF,
+    _children,
     evaluate,
     formula_to_text,
     graph_structure,
@@ -38,7 +41,15 @@ from twinwidth.fologic import (
 from twinwidth.graphs import Graph
 from twinwidth.ilrep import INTERVAL, OVERLAP, build_ilmatrix, decode, intervals_from_text, rep_from_intervals
 from twinwidth.obstruction import generate_exposer
-from conftest import DATA, DEMO6_INTERVALS, complete_graph, naive_truth, nested_sentence, path_graph
+from conftest import (
+    DATA,
+    DEMO6_INTERVALS,
+    ReferenceEvaluator,
+    complete_graph,
+    naive_truth,
+    nested_sentence,
+    path_graph,
+)
 
 SOME_EDGE = parse_formula("(exists x (exists y (edge x y)))")
 
@@ -77,12 +88,13 @@ def random_formula(rng, vars_avail, depth, budget):
     return And(parts) if k == "and" else Or(parts)
 
 
-def random_sentence(rng, depth, size):
+def random_sentence(rng, depth, size, free=()):
     """A sentence over edge, marks p/q, =, true, not/and/or/imp and quantifiers.
 
     Variables come from a pool of three names, so quantifiers often shadow one
     another, and an earlier subformula object is sometimes reused, so one
-    object can occur at several sites of the tree.
+    object can occur at several sites of the tree.  With ``free`` given, the
+    result is a formula over those free variables instead of a sentence.
     """
     pool = []
     left = [size]
@@ -122,6 +134,8 @@ def random_sentence(rng, depth, size):
         v = rng.choice("xyz")
         return (Exists if k == "exists" else Forall)(v, gen(bound | {v}, depth - 1))
 
+    if free:
+        return gen(frozenset(free), depth)
     return quantified(rng.choice(("exists", "forall")), frozenset(), depth)
 
 
@@ -150,6 +164,115 @@ def test_evaluate_matches_naive_oracle():
         st = graph_structure(g)
         for f in (parse_formula(SHADOWED), shared_sentence()):
             assert evaluate(st, f) == naive_truth(st, f)
+
+
+def random_relation_structure(rng, size):
+    """``size`` elements, an ``edge`` relation with loops and one-way pairs, and marks p and q."""
+    dom = tuple("abcde"[:size])
+    edge = frozenset(pair for pair in itertools.product(dom, repeat=2) if rng.random() < 0.4)
+    return Structure(dom, {"edge": edge}, {m: frozenset(a for a in dom if rng.random() < 0.5) for m in "pq"})
+
+
+def sweep_shapes(f):
+    """The shapes that f's quantifier-free quantifier bodies, its quantifiers and its nodes show."""
+    shapes, ids = set(), []
+
+    def body_shapes(g, v):
+        if isinstance(g, Eq) and g.left == g.right == v:
+            shapes.add("(= v v)")
+        elif isinstance(g, Atom) and v in g.args:
+            if len(g.args) == 1:
+                shapes.add("mark on v")
+            else:
+                shapes.add({(True, True): "R(v v)", (True, False): "R(v x)", (False, True): "R(x v)"}[
+                    (g.args[0] == v, g.args[1] == v)])
+        elif isinstance(g, Atom) and len(g.args) == 1:
+            shapes.add("mark on x")
+        elif isinstance(g, (And, Or)) and len(g.parts) != 2:
+            shapes.add("n-ary and/or")
+        elif isinstance(g, Implies):
+            shapes.add("imp")
+        for c in _children(g):
+            body_shapes(c, v)
+
+    def walk(g, bound):
+        ids.append(id(g))
+        if isinstance(g, (Exists, Forall)):
+            if g.var in bound:
+                shapes.add("shadowed")
+            if quantifier_depth(g.body) == 0:
+                body_shapes(g.body, g.var)
+            bound = bound | {g.var}
+        for c in _children(g):
+            walk(c, bound)
+
+    walk(f, frozenset())
+    if len(set(ids)) < len(ids):
+        shapes.add("shared node")
+    return shapes
+
+
+SWEEP_SHAPES = {
+    "(= v v)", "R(v v)", "R(v x)", "R(x v)", "mark on v", "mark on x",
+    "n-ary and/or", "imp", "shadowed", "shared node",
+}
+
+
+def test_evaluate_and_interpret_budget_match_reference():
+    # The reference memoizes every non-leaf node and charges one per element a
+    # quantifier binds, so its count is the exact budget: N passes, N - 1 raises.
+    rng = random.Random(2323)
+    shapes, sizes = set(), set()
+    for i in range(360):
+        st = random_relation_structure(rng, i % 6)
+        ref = ReferenceEvaluator(st)
+        if i % 4:
+            f = random_sentence(rng, rng.randint(1, 4), 16)
+            shapes |= sweep_shapes(f)
+            want, run = ref.truth(f, {}), partial(evaluate, st, f)
+        else:  # interpret's parameter roots; the domain formula's object recurs in the relation's
+            dom = random_sentence(rng, 2, 8, free=("x",))
+            rel = random_sentence(rng, 2, 8, free=("x", "y"))
+            iota = Interpretation("x", dom, {"edge": (("x", "y"), And((dom, rel)) if i % 8 else rel)})
+            shapes |= sweep_shapes(dom) | sweep_shapes(rel)
+            want, run = ref.interpret(iota), partial(interpret, iota, st)
+        sizes.add(len(st.domain))
+        assert run(budget=ref.used) == want, i
+        if ref.used:
+            with pytest.raises(BudgetExceeded):
+                run(budget=ref.used - 1)
+        else:
+            assert run(budget=-1) == want
+    assert shapes == SWEEP_SHAPES and sizes == set(range(6))
+
+
+EMPTY = Structure((), {"edge": frozenset()}, {"p": frozenset()})
+
+
+@pytest.mark.parametrize("budget", [-1, 0])
+def test_empty_domain_spends_no_budget(budget):
+    # no quantifier binds an element, so not even a negative budget runs out
+    for text, want in (
+        ("(exists x (edge x x))", False),
+        ("(forall x (p x))", True),
+        ("(not (exists x (= x x)))", True),
+        ("(forall x (exists y (edge x y)))", True),
+        ("(exists x (forall y (edge x y)))", False),
+    ):
+        assert evaluate(EMPTY, parse_formula(text), budget=budget) is want
+
+
+def test_quantifier_free_body_at_the_nesting_limit():
+    # all the nesting lies in the innermost quantifier's body, which compiles to one mask closure per node
+    wrappers = ("(not {})", "(imp (edge x y) {})", "(and (p x) (p y) {})", "(or (= x y) {})")
+    chain = "(edge y x)"
+    for k in range(MAX_FORMULA_DEPTH - 3):
+        chain = wrappers[k % 4].format(chain)
+    st = graph_structure(path_graph("abc"), {"p": "ab"})
+    for text in (nested_sentence(MAX_FORMULA_DEPTH), f"(exists x (forall y {chain}))", f"(forall x (exists y {chain}))"):
+        f = parse_formula(text)
+        assert quantifier_depth(f) == 2
+        assert evaluate(st, f) == naive_truth(st, f)
 
 
 FO_FORMULAS = {
