@@ -312,11 +312,12 @@ def _compile(st: Structure, roots: Sequence[tuple[Sequence[str], Formula]], budg
     A memo entry is keyed by the node and the values of its sorted free
     variables, and is kept only where a later visit could hit it.  A leaf is
     recomputed, and so is a unique node (neither it nor an ancestor occurs
-    twice in the trees) when either its free variables are every visible
-    binding, none shadowed, or its key slots are those of its nearest
-    memoized ancestor with no quantifier at or between the two: that ancestor
-    evaluates it at most once per miss.  A quantifier evaluates its body once
-    per element, so the second rule starts afresh inside every body.
+    twice in the trees) in two cases: its free variables are every visible
+    binding, none shadowed; or its key slots are those of its nearest
+    memoized ancestor, that ancestor is a connective and only connectives
+    lie between the two, so the ancestor evaluates it at most once per miss.
+    A quantifier evaluates its body once per element, so the second case
+    starts afresh inside every body.
     """
     index = {a: i for i, a in enumerate(st.domain)}
     span = range(len(st.domain))
@@ -438,7 +439,7 @@ def _compile(st: Structure, roots: Sequence[tuple[Sequence[str], Formula]], budg
         return lambda: full if truth() else 0
 
     def build(f: Formula, scope: dict[str, int], path: tuple[str, ...], unique: bool, above):
-        """``above`` holds the key slots of the nearest memoized ancestor inside the innermost body, or None."""
+        """``above``: key slots of the nearest memoized ancestor when it and all nodes between are connectives, else None."""
         if isinstance(f, (TrueF, FalseF)):
             value = isinstance(f, TrueF)
             return lambda: value

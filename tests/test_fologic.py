@@ -174,12 +174,13 @@ def random_relation_structure(rng, size):
 
 
 def sweep_shapes(f):
-    """The shapes that f's quantifier-free quantifier bodies, its quantifiers and its nodes show."""
+    """Which ``SWEEP_SHAPES`` f shows: leaves and connectives in quantifier-free quantifier bodies,
+    quantifiers that shadow a bound variable, and node objects that occur twice."""
     shapes, ids = set(), []
 
     def body_shapes(g, v):
-        if isinstance(g, Eq) and g.left == g.right == v:
-            shapes.add("(= v v)")
+        if isinstance(g, Eq) and v in (g.left, g.right):
+            shapes.add("(= v v)" if g.left == g.right else "(= v x)")
         elif isinstance(g, Atom) and v in g.args:
             if len(g.args) == 1:
                 shapes.add("mark on v")
@@ -213,7 +214,7 @@ def sweep_shapes(f):
 
 
 SWEEP_SHAPES = {
-    "(= v v)", "R(v v)", "R(v x)", "R(x v)", "mark on v", "mark on x",
+    "(= v v)", "(= v x)", "R(v v)", "R(v x)", "R(x v)", "mark on v", "mark on x",
     "n-ary and/or", "imp", "shadowed", "shared node",
 }
 
@@ -230,7 +231,7 @@ def test_evaluate_and_interpret_budget_match_reference():
             f = random_sentence(rng, rng.randint(1, 4), 16)
             shapes |= sweep_shapes(f)
             want, run = ref.truth(f, {}), partial(evaluate, st, f)
-        else:  # interpret's parameter roots; the domain formula's object recurs in the relation's
+        else:  # interpret's parameter roots; in half of them the domain formula's object recurs in the relation's
             dom = random_sentence(rng, 2, 8, free=("x",))
             rel = random_sentence(rng, 2, 8, free=("x", "y"))
             iota = Interpretation("x", dom, {"edge": (("x", "y"), And((dom, rel)) if i % 8 else rel)})
@@ -269,7 +270,8 @@ def test_quantifier_free_body_at_the_nesting_limit():
     for k in range(MAX_FORMULA_DEPTH - 3):
         chain = wrappers[k % 4].format(chain)
     st = graph_structure(path_graph("abc"), {"p": "ab"})
-    for text in (nested_sentence(MAX_FORMULA_DEPTH), f"(exists x (forall y {chain}))", f"(forall x (exists y {chain}))"):
+    sentences = (nested_sentence(MAX_FORMULA_DEPTH), f"(exists x (forall y {chain}))", f"(forall x (exists y {chain}))")
+    for text in sentences:
         f = parse_formula(text)
         assert quantifier_depth(f) == 2
         assert evaluate(st, f) == naive_truth(st, f)
