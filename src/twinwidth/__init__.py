@@ -67,7 +67,6 @@ from .perturb import (
 from .fologic import (
     Structure,
     evaluate,
-    interpret,
     modelcheck_direct,
     modelcheck_pipeline,
     parse_formula,

@@ -1,23 +1,24 @@
 """First-order formulas over finite binary structures, by brute force.
 
-Formulas are plain syntax trees; structures carry a finite domain, named
-binary relations and named unary marks.  Each ``evaluate`` or ``interpret``
-call compiles its formulas once into nested closures over element indices,
-with one bitmask per mark and per row and per column of each relation; every
-atom's relation, mark and arity is checked before anything is evaluated.  A
-quantifier whose body holds no quantifier decides by one sweep: the body
-yields the bitmask of the elements that satisfy it, and its lowest set bit is
-the first element that decides.  Other quantifiers expand over the domain
-with short-circuiting.  The budget counts quantifier instantiations, one per
-element a quantifier binds up to the first that decides, and a sweep charges
-exactly the instantiations that expanding would make.  Subformula truth is
-memoized per assignment of its free variables, but only where a later visit
-could hit the entry, so values and budget use are those of memoizing every
-subformula.
+Formulas are plain syntax trees.  A structure holds a finite domain, each
+named binary relation as one bitmask row per element and each named unary
+mark as one bitmask; ``graph_structure`` passes a graph's rows through.
+Each ``evaluate`` call compiles its sentence once into nested closures over
+element indices that read those rows and masks, plus one column mask per
+element of each relation it names; every atom's relation, mark and arity is
+checked before anything is evaluated.  A quantifier whose body holds no
+quantifier decides by one sweep: the body yields the bitmask of the elements
+that satisfy it, and its lowest set bit is the first element that decides.
+Other quantifiers expand over the domain with short-circuiting.  The budget
+counts quantifier instantiations, one per element a quantifier binds up to
+the first that decides, and a sweep charges exactly the instantiations that
+expanding would make.  Subformula truth is memoized per assignment of its
+free variables, but only where a later visit could hit the entry, so values
+and budget use are those of memoizing every subformula.
 
-Interpretations rewrite formulas instead of structures where needed: a graph
-formula is translated onto a representation matrix structure (domain rows
-and columns, relations A1/A2 marking the 1- and 2-entries) so that both
+Interpretations act on formulas, not on structures: ``rewrite`` translates a
+graph formula onto a representation matrix structure (domain rows and
+columns, relations A1/A2 marking the 1- and 2-entries) so that both
 evaluations agree; ``interpretation_for`` builds the interval and the
 overlap interpretation, which differ by one conjunct.  The text syntax is a
 small S-expression grammar, e.g. ``(exists x (exists y (edge x y)))``.
@@ -249,41 +250,55 @@ def quantifier_depth(f: Formula) -> int:
 
 @record
 class Structure:
+    """A finite domain with binary relations and unary marks, all as bitmasks over domain positions.
+
+    Bit j of ``relations[name][i]`` is set iff (domain[i], domain[j]) is in
+    the relation, and bit i of ``marks[name]`` iff domain[i] carries the mark.
+    """
+
     domain: tuple[str, ...]
-    relations: dict[str, frozenset[tuple[str, str]]]
-    marks: dict[str, frozenset[str]]
+    relations: dict[str, tuple[int, ...]]
+    marks: dict[str, int]
 
     def __post_init__(self) -> None:
-        dom = set(self.domain)
-        if len(dom) != len(self.domain):
+        size, limit = len(self.domain), 1 << len(self.domain)
+        if len(set(self.domain)) != size:
             raise DomainError("duplicate domain elements")
-        for name, rel in self.relations.items():
-            for a, b in rel:
-                if a not in dom or b not in dom:
-                    raise DomainError(f"relation {name!r} leaves the domain")
-        for name, mk in self.marks.items():
-            if not mk <= dom:
+        for name, rows in self.relations.items():
+            if len(rows) != size:
+                raise DomainError(f"relation {name!r} has {len(rows)} rows for {size} elements")
+            if not all(0 <= row < limit for row in rows):
+                raise DomainError(f"relation {name!r} leaves the domain")
+        for name, mask in self.marks.items():
+            if not 0 <= mask < limit:
                 raise DomainError(f"mark {name!r} leaves the domain")
 
 
 def graph_structure(g: Graph, marks: dict[str, Iterable[str]] | None = None) -> Structure:
-    sym = frozenset((u, v) for u in g.names for v in g.neighbors(u))
-    mk = {name: frozenset(vs) for name, vs in (marks or {}).items()}
-    return Structure(g.names, {"edge": sym}, mk)
+    # a vertex outside g sets bit D, so Structure rejects its mark as leaving the domain
+    mk = {name: sum(1 << g.index.get(v, len(g.names)) for v in set(vs)) for name, vs in (marks or {}).items()}
+    return Structure(g.names, {"edge": g.rows}, mk)
+
+
+# byte -> b"1" where a cell holds 1 (A1) or 2 (A2), else b"0"
+_DIGITS = {rel: bytes(48 + (cell == value) for cell in range(256)) for rel, value in (("A1", 1), ("A2", 2))}
 
 
 def matrix_structure(m: IlMatrix) -> Structure:
+    """The domain is the row keys, then the column keys; A1 and A2 hold the 1- and 2-entries.
+
+    ``build_ilmatrix`` never gives a row and a column one key: pair names end
+    in ``)``, and end names are letters or end in a digit.
+    """
     mat = m.matrix
-    rows = set(mat.row_keys)
-    dom = tuple(mat.row_keys) + tuple(k for k in mat.col_keys if k not in rows)
-    a1, a2 = set(), set()
-    for rk, row in zip(mat.row_keys, mat.rows):
-        for ck, v in zip(mat.col_keys, row):
-            if v == 1:
-                a1.add((rk, ck))
-            elif v == 2:
-                a2.add((rk, ck))
-    return Structure(dom, {"A1": frozenset(a1), "A2": frozenset(a2)}, {})
+    shift = len(mat.row_keys)
+    blank = (0,) * len(mat.col_keys)
+    # reversed digits read in base 2 put column j at bit j (a leading 0 reads an empty row), then at bit R + j
+    rels = {
+        rel: tuple(int(b"0" + row.translate(digits)[::-1], 2) << shift for row in mat.rows) + blank
+        for rel, digits in _DIGITS.items()
+    }
+    return Structure(mat.row_keys + mat.col_keys, rels, {})
 
 
 # ---------------------------------------------------------------------------
@@ -292,15 +307,15 @@ def matrix_structure(m: IlMatrix) -> Structure:
 
 def evaluate(st: Structure, f: Formula, budget: int = DEFAULT_EVAL_BUDGET) -> bool:
     """Truth of a closed formula by exhaustive quantifier expansion."""
-    (run,) = _compile(st, [((), f)], budget)
-    return run()
+    return bool(_compile(st, f, budget)())
 
 
-def _compile(st: Structure, roots: Sequence[tuple[Sequence[str], Formula]], budget: int) -> list:
-    """Compile each (params, formula) root into a closure from param element indices to truth.
+def _compile(st: Structure, sentence: Formula, budget: int):
+    """Compile a sentence into a closure that returns its truth on st.
 
-    Elements are 0..D-1, every binding is a slot of one shared ``env`` list,
-    and all roots share the budget and the memo.
+    Elements are 0..D-1 and every binding is a slot of one shared ``env``
+    list.  Atoms read the structure's rows and marks as they are; only the
+    column masks of each relation that the sentence names are built here.
 
     A quantifier whose body holds no quantifier decides by one sweep: the body
     compiles to a closure that returns, under ``env``, the bitmask of the
@@ -312,26 +327,22 @@ def _compile(st: Structure, roots: Sequence[tuple[Sequence[str], Formula]], budg
     A memo entry is keyed by the node and the values of its sorted free
     variables, and is kept only where a later visit could hit it.  A leaf is
     recomputed, and so is a unique node (neither it nor an ancestor occurs
-    twice in the trees) in two cases: its free variables are every visible
+    twice in the tree) in two cases: its free variables are every visible
     binding, none shadowed; or its key slots are those of its nearest
     memoized ancestor, that ancestor is a connective and only connectives
     lie between the two, so the ancestor evaluates it at most once per miss.
     A quantifier evaluates its body once per element, so the second case
     starts afresh inside every body.
     """
-    index = {a: i for i, a in enumerate(st.domain)}
+    if sentence.free_vars:
+        raise DomainError(f"formula has free variables: {sorted(sentence.free_vars)}")
     span = range(len(st.domain))
     full = (1 << len(span)) - 1
     env: list[int] = []
     tables: dict[int, dict] = {}
     bits: dict[tuple[str, int], object] = {}
     order: list[Formula] = []
-    stack = []
-    for params, f in roots:
-        unbound = f.free_vars - set(params)
-        if unbound:
-            raise DomainError(f"formula has free variables: {sorted(unbound)}")
-        stack.append(f)
+    stack = [sentence]
     while stack:  # list occurrences and check every atom against st before any evaluation
         f = stack.pop()
         order.append(f)
@@ -340,15 +351,14 @@ def _compile(st: Structure, roots: Sequence[tuple[Sequence[str], Formula]], budg
             if len(f.args) == 1:
                 if f.rel not in st.marks:
                     raise DomainError(f"unknown mark {f.rel!r}")
-                bits[f.rel, 1] = sum(1 << index[a] for a in st.marks[f.rel])
+                bits[f.rel, 1] = st.marks[f.rel]
             elif len(f.args) == 2:
                 if f.rel not in st.relations:
                     raise DomainError(f"unknown relation {f.rel!r}")
-                rows, cols = [0] * len(span), [0] * len(span)
-                for a, b in st.relations[f.rel]:
-                    i, j = index[a], index[b]
-                    rows[i] |= 1 << j
-                    cols[j] |= 1 << i
+                rows = st.relations[f.rel]
+                # row i as D binary digits puts bit j at character D-1-j, so zip reads the columns last first
+                digits = [format(row, f"0{len(span)}b") for row in rows]
+                cols = [int("".join(col)[::-1], 2) for col in zip(*digits)][::-1]
                 bits[f.rel, 2] = rows, cols, sum(1 << i for i in span if rows[i] >> i & 1)
             else:
                 raise DomainError(f"relation {f.rel!r} has unsupported arity {len(f.args)}")
@@ -478,18 +488,7 @@ def _compile(st: Structure, roots: Sequence[tuple[Sequence[str], Formula]], budg
             raw = _junction(parts, isinstance(f, And))
         return raw if table is None else memoized(raw, table, key_of)
 
-    def root(params: Sequence[str], f: Formula):
-        path = tuple(params)
-        env.extend([0] * (len(path) - len(env)))
-        run = build(f, {v: i for i, v in enumerate(path)}, path, True, None)
-
-        def call(*args: int) -> bool:
-            env[: len(args)] = args
-            return bool(run())
-
-        return call
-
-    return [root(params, f) for params, f in roots]
+    return build(sentence, {}, (), True, None)
 
 
 def _junction(parts: list, conj: bool):
@@ -530,24 +529,6 @@ def _subst(f: Formula, mapping: dict[str, str], fresh: itertools.count) -> Formu
         new = f"_q{next(fresh)}"
         return type(f)(new, _subst(f.body, {**mapping, f.var: new}, fresh))
     return _with_children(f, [_subst(c, mapping, fresh) for c in _children(f)])
-
-
-def interpret(iota: Interpretation, st: Structure, budget: int = DEFAULT_EVAL_BUDGET) -> Structure:
-    """Apply an interpretation structure-side (domain and relations pointwise)."""
-    if any(len(params) != 2 for params, _ in iota.relations.values()):
-        raise DomainError("only binary output relations are supported")
-    in_domain, *defs = _compile(
-        st, [((iota.domain_var,), iota.domain_formula), *iota.relations.values()], budget
-    )
-    picked = [i for i in range(len(st.domain)) if in_domain(i)]
-    dom = [st.domain[i] for i in picked]
-    rels = {
-        name: frozenset(
-            (st.domain[a], st.domain[b]) for a, b in itertools.product(picked, repeat=2) if holds(a, b)
-        )
-        for name, holds in zip(iota.relations, defs)
-    }
-    return Structure(tuple(dom), rels, {})
 
 
 def _core_formula(x: str, y: str) -> Formula:

@@ -263,11 +263,10 @@ def verify_sequence(g: Graph, seq: tuple[ContractionStep, ...], claimed: int) ->
 # ordering search for mixed-minor-freeness
 
 
-def _similarity_order(lines: list[tuple[int, ...]]) -> list[int]:
+def _similarity_order(lines: tuple[bytes, ...]) -> list[int]:
     """Nearest-neighbour chaining by Hamming distance, starting from index 0."""
-    remaining = set(range(len(lines)))
-    order = [0]
-    remaining.discard(0)
+    order = [0] if lines else []
+    remaining = set(range(1, len(lines)))
     while remaining:
         last = lines[order[-1]]
         nxt = min(
@@ -295,11 +294,11 @@ def ordering_without_mixed_minor(
         return find_mixed_minor(m.permuted(row_order, col_order), k) is None
 
     identity_r, identity_c = list(range(nr)), list(range(nc))
-    cols_of = list(zip(*m.rows)) if m.rows else []
+    cols_of = m.transpose().rows
     candidates = [
         (identity_r, identity_c),
         (sorted(identity_r, key=lambda i: m.rows[i]), sorted(identity_c, key=lambda j: cols_of[j])),
-        (_similarity_order(list(m.rows)), _similarity_order(list(cols_of))),
+        (_similarity_order(m.rows), _similarity_order(cols_of)),
     ]
     for ro, co in candidates:
         if check(ro, co):

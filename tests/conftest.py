@@ -401,11 +401,48 @@ def oracle_mixed_minor(m: TriMatrix, k: int) -> bool:
     return False
 
 
+def structure_from_pairs(domain, relations: dict, marks: dict | None = None) -> fo.Structure:
+    """The structure whose relations hold the given name pairs and whose marks hold the given elements."""
+    index = {a: i for i, a in enumerate(domain)}
+    rows = {
+        name: tuple(sum(1 << index[b] for a2, b in pairs if a2 == a) for a in domain)
+        for name, pairs in relations.items()
+    }
+    masks = {name: sum(1 << index[a] for a in set(elements)) for name, elements in (marks or {}).items()}
+    return fo.Structure(tuple(domain), rows, masks)
+
+
+def relation_pairs(st: fo.Structure, name: str) -> frozenset[tuple[str, str]]:
+    """The name pairs of one relation of st, read bit by bit."""
+    return frozenset(
+        (a, b) for a, row in zip(st.domain, st.relations[name]) for j, b in enumerate(st.domain) if row >> j & 1
+    )
+
+
+def reference_matrix_structure(m) -> tuple[tuple[str, ...], dict[str, frozenset[tuple[str, str]]]]:
+    """The domain and the A1/A2 pairs of a representation matrix, read cell by cell.
+
+    The domain is the row keys, then the column keys that are not row keys.
+    """
+    mat = m.matrix
+    rows = set(mat.row_keys)
+    dom = tuple(mat.row_keys) + tuple(k for k in mat.col_keys if k not in rows)
+    a1, a2 = set(), set()
+    for rk, row in zip(mat.row_keys, mat.rows):
+        for ck, v in zip(mat.col_keys, row):
+            if v == 1:
+                a1.add((rk, ck))
+            elif v == 2:
+                a2.add((rk, ck))
+    return dom, {"A1": frozenset(a1), "A2": frozenset(a2)}
+
+
 def naive_truth(st: fo.Structure, f: fo.Formula, env: dict[str, str] | None = None) -> bool:
     """Truth of f on st under env (variable -> element), by plain recursion.
 
-    Every quantifier copies the env dict per element; there is no memo, no
-    budget and no compilation, so this shares nothing with ``evaluate``.
+    Every quantifier copies the env dict per element, and an atom looks its
+    elements up in the domain and reads one bit; there is no memo, no budget
+    and no compilation, so this shares nothing with ``evaluate``.
     """
     env = env or {}
     if isinstance(f, fo.TrueF):
@@ -415,9 +452,10 @@ def naive_truth(st: fo.Structure, f: fo.Formula, env: dict[str, str] | None = No
     if isinstance(f, fo.Eq):
         return env[f.left] == env[f.right]
     if isinstance(f, fo.Atom):
-        if len(f.args) == 1:
-            return env[f.args[0]] in st.marks[f.rel]
-        return (env[f.args[0]], env[f.args[1]]) in st.relations[f.rel]
+        at = [st.domain.index(env[a]) for a in f.args]
+        if len(at) == 1:
+            return bool(st.marks[f.rel] >> at[0] & 1)
+        return bool(st.relations[f.rel][at[0]] >> at[1] & 1)
     if isinstance(f, fo.Not):
         return not naive_truth(st, f.body, env)
     if isinstance(f, fo.And):
@@ -451,10 +489,10 @@ class ReferenceEvaluator:
     Every non-leaf node is memoized by its ``id`` and the values of its free
     variables, and a quantifier charges one per element that it binds, in
     domain order, up to the first element that decides.  All calls on one
-    evaluator share the memo and the count, as the roots of one ``evaluate``
-    or ``interpret`` call do.  There is no compilation, no bitmask and no
-    memo elision, so this shares nothing with ``fologic._compile``; the count
-    is the exact budget that ``evaluate`` and ``interpret`` must use.
+    evaluator share the memo and the count.  There is no compilation, no
+    bitmask sweep and no memo elision, so this shares nothing with
+    ``fologic._compile``; the count of one ``truth`` call on a sentence is
+    the exact budget that ``evaluate`` must use.
     """
 
     def __init__(self, st: fo.Structure):
@@ -485,12 +523,10 @@ class ReferenceEvaluator:
         return not exists
 
     def interpret(self, iota: fo.Interpretation) -> fo.Structure:
-        """``interpret``'s roots in its order: the domain formula per element, then each relation per pair."""
+        """The structure that iota defines on st: the domain formula per element, then each relation per pair."""
         dom = tuple(a for a in self.st.domain if self.truth(iota.domain_formula, {iota.domain_var: a}))
         rels = {
-            name: frozenset(
-                (a, b) for a, b in itertools.product(dom, repeat=2) if self.truth(body, dict(zip(params, (a, b))))
-            )
+            name: [(a, b) for a, b in itertools.product(dom, repeat=2) if self.truth(body, dict(zip(params, (a, b))))]
             for name, (params, body) in iota.relations.items()
         }
-        return fo.Structure(dom, rels, {})
+        return structure_from_pairs(dom, rels)

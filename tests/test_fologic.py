@@ -6,6 +6,7 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twinwidth import fologic
 from twinwidth.cli import run
 from twinwidth.errors import BudgetExceeded, DomainError, FormatError
 from twinwidth.fologic import (
@@ -27,7 +28,6 @@ from twinwidth.fologic import (
     evaluate,
     formula_to_text,
     graph_structure,
-    interpret,
     interpretation_for,
     matrix_structure,
     modelcheck_direct,
@@ -39,16 +39,29 @@ from twinwidth.fologic import (
     transduction_image,
 )
 from twinwidth.graphs import Graph
-from twinwidth.ilrep import INTERVAL, OVERLAP, build_ilmatrix, decode, intervals_from_text, rep_from_intervals
+from twinwidth.ilrep import (
+    INTERVAL,
+    OVERLAP,
+    ChordDiagram,
+    build_ilmatrix,
+    condense,
+    decode,
+    intervals_from_text,
+    rep_from_chords,
+    rep_from_intervals,
+)
 from twinwidth.obstruction import generate_exposer
 from conftest import (
     DATA,
-    DEMO6_INTERVALS,
     ReferenceEvaluator,
     complete_graph,
     naive_truth,
     nested_sentence,
     path_graph,
+    reference_matrix_structure,
+    relation_pairs,
+    seeded_intervals_text,
+    structure_from_pairs,
 )
 
 SOME_EDGE = parse_formula("(exists x (exists y (edge x y)))")
@@ -169,8 +182,8 @@ def test_evaluate_matches_naive_oracle():
 def random_relation_structure(rng, size):
     """``size`` elements, an ``edge`` relation with loops and one-way pairs, and marks p and q."""
     dom = tuple("abcde"[:size])
-    edge = frozenset(pair for pair in itertools.product(dom, repeat=2) if rng.random() < 0.4)
-    return Structure(dom, {"edge": edge}, {m: frozenset(a for a in dom if rng.random() < 0.5) for m in "pq"})
+    edge = [pair for pair in itertools.product(dom, repeat=2) if rng.random() < 0.4]
+    return structure_from_pairs(dom, {"edge": edge}, {m: [a for a in dom if rng.random() < 0.5] for m in "pq"})
 
 
 def sweep_shapes(f):
@@ -229,14 +242,12 @@ def test_evaluate_and_interpret_budget_match_reference():
         ref = ReferenceEvaluator(st)
         if i % 4:
             f = random_sentence(rng, rng.randint(1, 4), 16)
-            shapes |= sweep_shapes(f)
-            want, run = ref.truth(f, {}), partial(evaluate, st, f)
-        else:  # interpret's parameter roots; in half of them the domain formula's object recurs in the relation's
+        else:  # a guarded pair of free formulas; in half of them the guard's object recurs under the inner quantifier
             dom = random_sentence(rng, 2, 8, free=("x",))
             rel = random_sentence(rng, 2, 8, free=("x", "y"))
-            iota = Interpretation("x", dom, {"edge": (("x", "y"), And((dom, rel)) if i % 8 else rel)})
-            shapes |= sweep_shapes(dom) | sweep_shapes(rel)
-            want, run = ref.interpret(iota), partial(interpret, iota, st)
+            f = Forall("x", Implies(dom, Exists("y", And((dom, rel)) if i % 8 else rel)))
+        shapes |= sweep_shapes(f)
+        want, run = ref.truth(f, {}), partial(evaluate, st, f)
         sizes.add(len(st.domain))
         assert run(budget=ref.used) == want, i
         if ref.used:
@@ -247,7 +258,7 @@ def test_evaluate_and_interpret_budget_match_reference():
     assert shapes == SWEEP_SHAPES and sizes == set(range(6))
 
 
-EMPTY = Structure((), {"edge": frozenset()}, {"p": frozenset()})
+EMPTY = Structure((), {"edge": ()}, {"p": 0})
 
 
 @pytest.mark.parametrize("budget", [-1, 0])
@@ -292,9 +303,6 @@ def _budget_cases():
         for name, text in FO_FORMULAS.items():
             cases[f"{model}-{name}-pipeline"] = partial(modelcheck_pipeline, rep, parse_formula(text))
             cases[f"{model}-{name}-direct"] = partial(modelcheck_direct, rep, parse_formula(text))
-    for kind in (INTERVAL, OVERLAP):
-        st = matrix_structure(build_ilmatrix(rep_from_intervals(DEMO6_INTERVALS, kind)))
-        cases[f"demo6-interpret-{kind}"] = partial(interpret, interpretation_for(kind), st)
     for name, g in (("path", path_graph("abc")), ("complete", complete_graph("abcd"))):
         cases[f"shadowed-{name}"] = partial(evaluate, graph_structure(g), parse_formula(SHADOWED))
         cases[f"shared-{name}"] = partial(evaluate, graph_structure(g), shared_sentence())
@@ -302,12 +310,6 @@ def _budget_cases():
     for i in range(60):
         cases[f"random-{i}"] = partial(evaluate, random_marked_structure(rng), random_sentence(rng, 4, 16))
     return cases
-
-
-def _plain(value):
-    if isinstance(value, bool):
-        return value
-    return {"domain": list(value.domain), "edge": sorted(map(list, value.relations["edge"]))}
 
 
 BUDGET_CASES = _budget_cases()
@@ -320,10 +322,62 @@ def test_budget_use_golden(case):
     assert golden.keys() == BUDGET_CASES.keys()
     run = BUDGET_CASES[case]
     n = golden[case]["budget"]
-    assert _plain(run(budget=n)) == golden[case]["value"]
+    assert run(budget=n) is golden[case]["value"]
     if n:
         with pytest.raises(BudgetExceeded):
             run(budget=n - 1)
+
+
+@pytest.mark.parametrize(
+    "domain, relations, marks, message",
+    [
+        (("a", "b", "a"), {}, {}, "duplicate domain elements"),
+        (("a", "b"), {"edge": (0,)}, {}, "relation 'edge' has 1 rows for 2 elements"),
+        (("a", "b"), {"edge": (0, 0, 0)}, {}, "relation 'edge' has 3 rows for 2 elements"),
+        (("a", "b"), {"edge": (0b1, 0b100)}, {}, "relation 'edge' leaves the domain"),
+        (("a", "b"), {"edge": (-1, 0)}, {}, "relation 'edge' leaves the domain"),
+        (("a", "b"), {}, {"p": 0b100}, "mark 'p' leaves the domain"),
+        ((), {}, {"p": 0b1}, "mark 'p' leaves the domain"),
+    ],
+)
+def test_structure_validation_messages(domain, relations, marks, message):
+    with pytest.raises(DomainError) as exc:
+        Structure(domain, relations, marks)
+    assert str(exc.value) == message
+
+
+def test_graph_structure_mark_outside_the_graph():
+    with pytest.raises(DomainError) as exc:
+        graph_structure(path_graph("ab"), {"p": ["a", "z"]})
+    assert str(exc.value) == "mark 'p' leaves the domain"
+    st = graph_structure(path_graph("abc"), {"p": "ca", "q": []})
+    assert st.relations == {"edge": path_graph("abc").rows} and st.marks == {"p": 0b101, "q": 0}
+
+
+def seeded_representations():
+    """The empty representation, then seeded interval, overlap and chord representations, each also condensed."""
+    rng = random.Random(24)
+    reps = [rep_from_intervals([], INTERVAL)]
+    for n in range(2, 17):
+        intervals = intervals_from_text(seeded_intervals_text(n, seed=n))
+        labels = [f"x{i}" for i in range(n)] * 2
+        rng.shuffle(labels)
+        for rep in (
+            rep_from_intervals(intervals, INTERVAL),
+            rep_from_intervals(intervals, OVERLAP),
+            rep_from_chords(ChordDiagram(tuple(labels))),
+        ):
+            reps += [rep, condense(rep)]
+    return reps
+
+
+def test_matrix_structure_matches_cell_loop():
+    for rep in seeded_representations():
+        m = build_ilmatrix(rep)
+        st = matrix_structure(m)
+        dom, pairs = reference_matrix_structure(m)
+        assert st.domain == dom and st.marks == {}
+        assert {name: relation_pairs(st, name) for name in st.relations} == pairs
 
 
 def test_evaluate_examples(demo6_rep):
@@ -331,7 +385,7 @@ def test_evaluate_examples(demo6_rep):
     assert not evaluate(graph_structure(Graph.build("abc", [])), SOME_EDGE)
     # the interpreted domain of the demo6 matrix is exactly the six pairs
     st = matrix_structure(build_ilmatrix(demo6_rep))
-    dom = interpret(interpretation_for(INTERVAL), st).domain
+    dom = ReferenceEvaluator(st).interpret(interpretation_for(INTERVAL)).domain
     assert len(dom) == 6
 
 
@@ -466,24 +520,22 @@ def test_de_morgan_and_quantifier_duality():
 
 def structure_to_graph(st):
     """The graph of a structure's ``edge`` relation, which must be symmetric and loop-free."""
-    rel = st.relations["edge"]
+    rel = relation_pairs(st, "edge")
     assert all(a != b and (b, a) in rel for a, b in rel)
     return Graph.build(st.domain, rel)
 
 
 def test_identity_interpretation():
-    from twinwidth.fologic import Interpretation
-
     g = path_graph("abc")
     st = graph_structure(g)
     ident = Interpretation("x", TrueF(), {"edge": (("x", "y"), Atom("edge", ("x", "y")))})
-    assert structure_to_graph(interpret(ident, st)) == g
+    assert structure_to_graph(ReferenceEvaluator(st).interpret(ident)) == g
 
 
 def test_interpret_matches_decode(demo6_rep, demo6_rep_overlap):
     for rep in (demo6_rep, demo6_rep_overlap):
         st = matrix_structure(build_ilmatrix(rep))
-        out = interpret(interpretation_for(rep.kind), st)
+        out = ReferenceEvaluator(st).interpret(interpretation_for(rep.kind))
         assert structure_to_graph(out) == decode(rep)
 
 
@@ -492,12 +544,31 @@ def test_interpret_matches_pointwise_evaluation(demo6_rep):
     # pointwise, with the two free variables pinned to domain elements
     iota = interpretation_for(INTERVAL)
     st = matrix_structure(build_ilmatrix(demo6_rep))
-    out = interpret(iota, st)
+    out = ReferenceEvaluator(st).interpret(iota)
     params, body = iota.relations["edge"]
+    edge = relation_pairs(out, "edge")
     for a in out.domain:
         for b in out.domain:
             direct = naive_truth(st, body, {params[0]: a, params[1]: b})
-            assert ((a, b) in out.relations["edge"]) == direct
+            assert ((a, b) in edge) == direct
+
+
+def test_oracles_do_not_call_the_evaluator(monkeypatch):
+    # naive_truth and ReferenceEvaluator must give their answers with fologic's evaluator out of reach
+    rng = random.Random(25)
+    sentences = [(random_relation_structure(rng, i % 6), random_sentence(rng, 3, 12)) for i in range(60)]
+    matrices = [(rep, matrix_structure(build_ilmatrix(rep))) for rep in seeded_representations()[:13]]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oracle called fologic's evaluator")
+
+    monkeypatch.setattr(fologic, "_compile", refuse)
+    monkeypatch.setattr(fologic, "evaluate", refuse)
+    for st, f in sentences:
+        assert ReferenceEvaluator(st).truth(f, {}) == naive_truth(st, f)
+    for rep, st in matrices:
+        out = ReferenceEvaluator(st).interpret(interpretation_for(rep.kind))
+        assert structure_to_graph(out) == decode(rep)
 
 
 def test_rewrite_shape_and_trivial_cases(demo6_rep):

@@ -111,8 +111,8 @@ RECORDS = {
     Structure: (
         ("domain", "relations", "marks"),
         (),
-        (("a", "b"), {"edge": frozenset({("a", "b")})}, {"red": frozenset({"a"})}),
-        (("a", "b"), {"edge": frozenset({("a", "b")})}, {}),
+        (("a", "b"), {"edge": (0b10, 0)}, {"red": 0b01}),
+        (("a", "b"), {"edge": (0b10, 0)}, {}),
     ),
     Interpretation: (
         ("domain_var", "domain_formula", "relations"),

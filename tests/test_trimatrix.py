@@ -294,6 +294,11 @@ def test_minor_free_ordering_trivial_cases():
     assert ordering_without_mixed_minor(one, 2) is not None
     zeros = TriMatrix.build([f"r{i}" for i in range(4)], [f"c{j}" for j in range(4)], [[0] * 4] * 4)
     assert ordering_without_mixed_minor(zeros, 2) is not None
+    # a matrix without rows or without columns keeps its other axis in its own order
+    for nr, nc in ((0, 2), (2, 0), (0, 0)):
+        rows, cols = [f"r{i}" for i in range(nr)], [f"c{j}" for j in range(nc)]
+        empty = TriMatrix.build(rows, cols, [[0] * nc] * nr)
+        assert ordering_without_mixed_minor(empty, 2) == (tuple(rows), tuple(cols))
 
 
 BAD_ENTRY = "matrix entries must be 0, 1, 2 or RED"
