@@ -3,7 +3,11 @@
 Vertices are opaque strings.  A ``Graph`` holds one adjacency form: the
 names, strictly sorted, and one int bitmask row per name over that order.
 The solvers and ``sequence_width`` start from a copy of the rows, and the
-``.g`` and JSON writers read each row's bits above its own index.
+``.g`` and JSON writers read each row's bits above its own index.  The
+generators (``permutation_graph`` here, ``obstruction.generate_exposer``)
+fill the rows directly from ``prefix_masks`` sweeps, with no list of name
+pairs; ``Graph.build`` is for name-pair input: the ``.g`` loader,
+``relabel`` and other edge lists.
 
 Along a contraction sequence the graph becomes a trigraph: a second,
 disjoint set of "red" edges records where merged vertices disagreed.
@@ -22,6 +26,7 @@ One-line permutations are plain tuples over 1..p, e.g. ``(3, 1, 4, 2)``.
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -36,9 +41,10 @@ class Graph:
     """A simple graph: bit j of ``rows[i]`` is set iff ``names[i]`` and ``names[j]`` are adjacent.
 
     The rows are symmetric (not checked: that costs a pass over the edges),
-    with no bit i in row i and none at ``len(names)`` or above.
-    ``Graph.build`` takes vertices and name pairs.  ``vertices`` and
-    ``edges`` (smaller name first) are views derived on first use.
+    with no bit i in row i and none at ``len(names)`` or above.  Code that
+    knows the rows constructs ``Graph(names, rows)``; ``Graph.build`` takes
+    vertices and name pairs.  ``vertices`` and ``edges`` (smaller name
+    first) are views derived on first use.
     """
 
     names: tuple[str, ...]
@@ -215,16 +221,37 @@ def inverse_permutation(word: Sequence[int]) -> tuple[int, ...]:
     return tuple(inv)
 
 
+def prefix_masks(order: Sequence[str], index: dict[str, int]) -> list[int]:
+    """``[0, b0, b0 | b1, ...]`` for ``bk = 1 << index[order[k]]``: entry k ORs the first k names' bits.
+
+    The last entry is the whole set, so ``masks[-1] ^ masks[k]`` is the
+    suffix from k.  One sweep is n big-int ORs, whatever the number of edges.
+    """
+    return list(itertools.accumulate((1 << index[v] for v in order), operator.or_, initial=0))
+
+
 def permutation_graph(word: Sequence[int]) -> Graph:
     """The inversion graph of a permutation: vertices "1".."p", edge ij (i<j) iff word[i] > word[j].
+
+    Position i sees j exactly when "j is earlier" and "j holds a larger
+    value" agree, so with ``before`` (earlier positions) and ``above``
+    (larger values) from two prefix sweeps, its row is the complement of
+    ``before ^ above`` without i.
 
     >>> sorted(permutation_graph((3, 1, 4, 2)).edges)
     [('1', '2'), ('1', '4'), ('3', '4')]
     """
     w = check_permutation(word)
-    names = [str(i) for i in range(1, len(w) + 1)]
-    edges = [(names[i], names[j]) for i, j in itertools.combinations(range(len(w)), 2) if w[i] > w[j]]
-    return Graph.build(names, edges)
+    p = len(w)
+    names = [str(i) for i in range(1, p + 1)]
+    ranked = sorted(names)  # "10" < "2"
+    index = {v: i for i, v in enumerate(ranked)}
+    before = prefix_masks(names, index)
+    above = prefix_masks([names[i - 1] for i in reversed(inverse_permutation(w))], index)  # values p, p - 1, ...
+    rows = [0] * p
+    for i, v in enumerate(names):
+        rows[index[v]] = before[-1] ^ before[i] ^ above[p - w[i]] ^ 1 << index[v]
+    return Graph(tuple(ranked), tuple(rows))
 
 
 def permutation_from_orders(first: Sequence, second: Sequence) -> tuple[int, ...]:

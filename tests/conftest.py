@@ -363,6 +363,43 @@ def oracle_chord_crossings(sequence) -> set[frozenset[str]]:
     return edges
 
 
+def seeded_words(sizes=range(7, 41), per_size: int = 3, seed: int = 26) -> list[tuple[int, ...]]:
+    """``per_size`` permutations of each size drawn from ``random.Random(seed)``; from p = 10 on, "10" < "2"."""
+    rng = random.Random(seed)
+    return [tuple(rng.sample(range(1, p + 1), p)) for p in sizes for _ in range(per_size)]
+
+
+def oracle_permutation_graph(word) -> tuple[list[str], list[tuple[str, str]]]:
+    """The inversion graph as name pairs: vertices "1".."p", pair (i, j) for i < j iff word[i] > word[j]."""
+    names = [str(i) for i in range(1, len(word) + 1)]
+    return names, [(names[i], names[j]) for i, j in itertools.combinations(range(len(word)), 2) if word[i] > word[j]]
+
+
+def oracle_exposer_graph(word) -> tuple[list[str], list[tuple[str, str]]]:
+    """The canonical exposer as name pairs: three cliques, and w_k sees u_0..u_k and each v_j with inv[j] <= inv[k]."""
+    p = len(word)
+    inv = [0] * p
+    for i, x in enumerate(word, start=1):
+        inv[x - 1] = i
+    core, side1, side2 = ([f"{c}{i}" for i in range(1, p + 1)] for c in "wuv")
+    edges = [pair for block in (core, side1, side2) for pair in itertools.combinations(block, 2)]
+    for k, w_k in enumerate(core):
+        edges += [(u, w_k) for u in side1[: k + 1]]
+        edges += [(v, w_k) for v, inv_v in zip(side2, inv) if inv_v <= inv[k]]
+    return core + side1 + side2, edges
+
+
+def oracle_rows(vertices, edges) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """``(names, rows)`` of the graph on these name pairs, one bit per pair end, built without ``Graph``."""
+    names = tuple(sorted(set(vertices)))
+    index = {v: i for i, v in enumerate(names)}
+    rows = [0] * len(names)
+    for u, v in edges:
+        rows[index[u]] |= 1 << index[v]
+        rows[index[v]] |= 1 << index[u]
+    return names, tuple(rows)
+
+
 def oracle_mixed_minor(m: TriMatrix, k: int) -> bool:
     """Full enumeration over both axes: does an all-mixed k-division exist?
 

@@ -17,7 +17,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from twinwidth import fologic, graphs, ilrep, obstruction, perturb, solver, trimatrix
 from twinwidth.cli import run
-from conftest import DATA, nested_sentence, quantifier_chain, seeded_intervals_text
+from conftest import (
+    DATA,
+    nested_sentence,
+    oracle_exposer_graph,
+    oracle_permutation_graph,
+    quantifier_chain,
+    seeded_intervals_text,
+)
 
 GOLDEN = DATA / "golden"
 SCHEMAS = Path(__file__).parent.parent / "docs" / "schemas"
@@ -471,6 +478,20 @@ def test_hplus_interval_json_bytes_pinned():
     assert hashlib.sha256(out.encode()).hexdigest() == HPLUS_INTERVAL_SHA256
 
 
+# sha256 of `generate hplus-circle --pi "3 1 2" -r 2` (1 296 vertices), as JSON and as .g text
+HPLUS_CIRCLE_SHA256 = {
+    "--json": "6377c0fb3cf6a0d930c032687e7980e796daf06dc6a48c374aec50a0aeff4472",
+    "": "f74326c8dcfce6d6ef7b8ef9c60e670f000f516fc63340dd6afde9daef513273",
+}
+
+
+@pytest.mark.parametrize("flag", HPLUS_CIRCLE_SHA256, ids=["json", "text"])
+def test_hplus_circle_bytes_pinned(flag):
+    code, out = run_stdout(["generate", "hplus-circle", "--pi", "3 1 2", "-r", "2", *flag.split()])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == HPLUS_CIRCLE_SHA256[flag]
+
+
 # sha256 of the output on the seeded 1 000-interval model: a 2 304 x 1 309 overlap
 # matrix, as text and as JSON, the interval graph's 149 826 edges as .g text and as
 # JSON, the overlap graph as .g text, and both kinds' condensed representations as JSON
@@ -626,6 +647,25 @@ def test_generate_json_matches_json_dumps(what, data):
     code, out = run_stdout(argv)
     assert code == 0
     assert out == graph_payload_text(g.vertices, g.edges, extra)
+
+
+@pytest.mark.parametrize("what", ["hplus-interval", "hplus-circle"])
+def test_generate_json_matches_oracle_at_bench_sizes(what):
+    # the sizes the gadget benchmark generates; the expected payload comes from the oracle's name pairs
+    if what == "hplus-interval":
+        argv = ["--pi", "1"]
+        gadget = perturb.build_interval_gadget((1,))
+        vertices, edges = oracle_exposer_graph(gadget.orders.permutation_word())
+        extra = {"core_vertices": gadget.size, "u_power": gadget.u_power, "z_power": gadget.z_power}
+    else:
+        argv = ["--pi", "2 1", "-r", "2"]
+        gadget = perturb.build_circle_gadget((2, 1), 2)
+        vertices, edges = oracle_permutation_graph(gadget.word)
+        extra = {"power_permutation": list(gadget.word), "exponent": gadget.orders.exponent}
+    assert len(vertices) == {"hplus-interval": 768, "hplus-circle": 256}[what]
+    code, out = run_stdout(["generate", what, *argv, "--json"])
+    assert code == 0
+    assert out == graph_payload_text(vertices, edges, extra)
 
 
 DEMO5, DEMO5_SEQ = str(DATA / "demo5.g"), str(DATA / "demo5.seq")

@@ -28,11 +28,22 @@ from twinwidth.graphs import (
     sequence_to_text,
     sequence_width,
 )
+from twinwidth import graphs, obstruction
 from twinwidth.cli import _emit_json
 from twinwidth.perturb import apply_perturbation
 from twinwidth.solver import twinwidth_exact, twinwidth_greedy
 from twinwidth.trimatrix import adjacency_matrix
-from conftest import brute_twinwidth, complete_graph, path_graph, reference_contract, reference_start
+from conftest import (
+    brute_twinwidth,
+    complete_graph,
+    oracle_exposer_graph,
+    oracle_permutation_graph,
+    oracle_rows,
+    path_graph,
+    reference_contract,
+    reference_start,
+    seeded_words,
+)
 from test_cli import NAMES
 
 
@@ -189,6 +200,37 @@ def test_permutation_graph_examples():
     assert sorted(permutation_graph((2, 1)).edges) == [("1", "2")]
     assert not permutation_graph((1, 2, 3)).edges
     assert sorted(permutation_graph((3, 1, 4, 2)).edges) == [("1", "2"), ("1", "4"), ("3", "4")]
+
+
+@pytest.mark.parametrize("p", range(7))
+def test_permutation_graph_matches_pair_oracle_on_every_small_word(p):
+    for word in itertools.permutations(range(1, p + 1)):
+        g = permutation_graph(word)
+        assert (g.names, g.rows) == oracle_rows(*oracle_permutation_graph(word))
+
+
+def test_permutation_graph_matches_pair_oracle_on_seeded_words():
+    for word in seeded_words():
+        g = permutation_graph(word)
+        assert (g.names, g.rows) == oracle_rows(*oracle_permutation_graph(word))
+        # rows follow the sorted names, which leave position order from p = 10 on
+        assert (g.names == tuple(str(i) for i in range(1, len(word) + 1))) == (len(word) < 10)
+
+
+def test_generator_oracles_do_not_call_the_package(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a generator oracle called the package")
+
+    for module, name in [(graphs, "permutation_graph"), (graphs, "prefix_masks"), (graphs, "check_permutation"),
+                         (graphs, "inverse_permutation"), (obstruction, "generate_exposer")]:
+        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(Graph, "build", refuse)
+    assert oracle_permutation_graph((3, 1, 2)) == (["1", "2", "3"], [("1", "2"), ("1", "3")])
+    vertices, edges = oracle_exposer_graph((2, 1))
+    assert vertices == ["w1", "w2", "u1", "u2", "v1", "v2"]
+    assert sorted(edges) == [("u1", "u2"), ("u1", "w1"), ("u1", "w2"), ("u2", "w2"), ("v1", "v2"),
+                             ("v1", "w1"), ("v2", "w1"), ("v2", "w2"), ("w1", "w2")]
+    assert oracle_rows(vertices, edges) == (("u1", "u2", "v1", "v2", "w1", "w2"), (50, 33, 24, 52, 45, 27))
 
 
 @settings(max_examples=60, deadline=None)

@@ -31,7 +31,7 @@ from twinwidth.obstruction import (
     reversal,
 )
 from twinwidth.trimatrix import find_mixed_minor, permutation_matrix, verify_division_mixed
-from conftest import interval_vertex_map, seeded_intervals_text
+from conftest import interval_vertex_map, oracle_exposer_graph, oracle_rows, seeded_intervals_text, seeded_words
 
 
 def all_perms(p):
@@ -208,6 +208,19 @@ def test_generate_exposer_all_p_le_4():
             assert check_exposes(inst.graph, inst.core, inst.side1, inst.side2, word)
             got = exposed_permutation(inst.graph, inst.core, inst.side1, inst.side2)
             assert got is not None and got[1] == word
+
+
+@pytest.mark.parametrize("p", range(7))
+def test_generate_exposer_matches_pair_oracle_on_every_small_word(p):
+    for word in itertools.permutations(range(1, p + 1)):
+        g = generate_exposer(word).graph
+        assert (g.names, g.rows) == oracle_rows(*oracle_exposer_graph(word))
+
+
+def test_generate_exposer_matches_pair_oracle_on_seeded_words():
+    for word in seeded_words():
+        g = generate_exposer(word).graph
+        assert (g.names, g.rows) == oracle_rows(*oracle_exposer_graph(word))
 
 
 def test_generate_exposer_p1_shape():

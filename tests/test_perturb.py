@@ -21,7 +21,7 @@ from twinwidth.perturb import (
     verify_robustness_circle,
     verify_robustness_interval,
 )
-from conftest import complete_graph, path_graph
+from conftest import complete_graph, oracle_exposer_graph, oracle_permutation_graph, oracle_rows, path_graph
 
 
 def test_apply_perturbation_examples():
@@ -207,6 +207,17 @@ def test_interval_gadget_is_exposer_of_power_word():
         a, b = rng.choice(names), rng.choice(names)
         if a != b:
             assert gadget.adjacent(index[a], index[b]) == inst.graph.has_edge(a, b)
+
+
+def test_gadget_graphs_match_pair_oracles():
+    circle = build_circle_gadget((3, 1, 2), 2)  # generate hplus-circle --pi "3 1 2" -r 2
+    g = circle.graph
+    assert len(g.names) == 1296
+    assert (g.names, g.rows) == oracle_rows(*oracle_permutation_graph(circle.word))
+    interval = build_interval_gadget((1,))  # generate hplus-interval --pi 1
+    g = interval.materialize().graph
+    assert len(g.names) == 768
+    assert (g.names, g.rows) == oracle_rows(*oracle_exposer_graph(interval.orders.permutation_word()))
 
 
 def test_interval_robustness_r0_and_r1():
