@@ -125,17 +125,14 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_ilmatrix(args) -> int:
-    ilm = ilrep.build_ilmatrix(_load_rep(args))
+    rep = _load_rep(args)
+    pairs, rows = ilrep.ilmatrix_rows(rep)  # each row is built as it is written
+    keys = list(map(ilrep.pair_name, pairs))
+    trimatrix.check_keys(keys, rep.ends)
     if args.json:
-        _emit_json(
-            {
-                "rows": list(ilm.matrix.row_keys),
-                "cols": list(ilm.matrix.col_keys),
-                "entries": map(trimatrix.row_text, ilm.matrix.rows),  # translated as written
-            }
-        )
+        _emit_json({"rows": keys, "cols": list(rep.ends), "entries": map(trimatrix.row_text, rows)})
     else:
-        sys.stdout.writelines(trimatrix.matrix_lines(ilm.matrix))
+        sys.stdout.writelines(trimatrix.matrix_lines(keys, rep.ends, rows))
     return 0
 
 

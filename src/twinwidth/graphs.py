@@ -6,7 +6,9 @@ The solvers and ``sequence_width`` start from a copy of the rows, and the
 ``.g`` and JSON writers read each row's bits above its own index.  The
 generators (``permutation_graph`` here, ``obstruction.generate_exposer``)
 fill the rows directly from ``prefix_masks`` sweeps, with no list of name
-pairs; ``Graph.build`` is for name-pair input: the ``.g`` loader,
+pairs.  The ``.g`` loader reads its text in one pass, keeps the edges as a
+flat list of int ids and fills the rows with ``_rows_from_ends``, the rule
+``Graph.build`` also uses; ``Graph.build`` is for name-pair input:
 ``relabel`` and other edge lists.
 
 Along a contraction sequence the graph becomes a trigraph: a second,
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections import defaultdict
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -43,7 +46,8 @@ class Graph:
     The rows are symmetric (not checked: that costs a pass over the edges),
     with no bit i in row i and none at ``len(names)`` or above.  Code that
     knows the rows constructs ``Graph(names, rows)``; ``Graph.build`` takes
-    vertices and name pairs.  ``vertices`` and ``edges`` (smaller name
+    vertices and name pairs, and ``graph_from_text`` reads ``.g`` text
+    without listing name pairs.  ``vertices`` and ``edges`` (smaller name
     first) are views derived on first use.
     """
 
@@ -62,20 +66,18 @@ class Graph:
 
     @staticmethod
     def build(vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> "Graph":
+        """The graph on ``set(vertices)``; the first loop or pair with an endpoint outside it, in edge order, is a ``DomainError``."""
         names = tuple(sorted(set(vertices)))
         index = {v: i for i, v in enumerate(names)}
-        # one bitmap per row, bit j in byte j >> 3, read as one int at the end
-        bitmaps = [bytearray(len(names) + 7 >> 3) for _ in names]
+        ends: list[int] = []
         for u, v in edges:
             if u == v:
                 raise DomainError(f"loop at vertex {u!r}")
             try:
-                i, j = index[u], index[v]
+                ends += index[u], index[v]
             except KeyError:
                 raise DomainError(f"edge {(min(u, v), max(u, v))!r} has endpoint outside the vertex set") from None
-            bitmaps[i][j >> 3] |= 1 << (j & 7)
-            bitmaps[j][i >> 3] |= 1 << (i & 7)
-        return Graph(names, tuple(int.from_bytes(b, "little") for b in bitmaps))
+        return Graph(names, _rows_from_ends(len(names), ends))
 
     @cached_property
     def index(self) -> dict[str, int]:  # each name's position in names and rows
@@ -134,6 +136,21 @@ class SequenceError(DomainError):
 
 # a row's binary digit characters as the bytes 0 and 1, for ``itertools.compress``
 _DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _rows_from_ends(n: int, ends: Sequence[int]) -> tuple[int, ...]:
+    """The n bitmask rows of the edges ``ends[0] ends[1]``, ``ends[2] ends[3]``, ... between ranks below n.
+
+    One bitmap per row, bit j in byte j >> 3, read as one int at the end.
+    Each pair's two ends must be distinct ranks below n; a repeated edge
+    sets no new bit.
+    """
+    bitmaps = [bytearray(n + 7 >> 3) for _ in range(n)]
+    pairs = iter(ends)
+    for i, j in zip(pairs, pairs):
+        bitmaps[i][j >> 3] |= 1 << (j & 7)
+        bitmaps[j][i >> 3] |= 1 << (i & 7)
+    return tuple(int.from_bytes(b, "little") for b in bitmaps)
 
 
 def _bits(mask: int):
@@ -374,27 +391,65 @@ def graph_to_text(g: Graph, name: str = "g") -> str:
     return "".join(graph_lines(g, name))
 
 
+_CHUNK = 1 << 15  # characters per slice of text that ``_line_blocks`` splits at once
+
+
+def _line_blocks(text: str) -> Iterator[list[str]]:
+    """The lines of ``text.splitlines()`` in blocks, each split from a slice of about ``_CHUNK`` characters.
+
+    Each slice ends just after a ``\\n``, and no line break spans that cut
+    (``\\r\\n`` ends with it), so the blocks hold the same lines and no
+    list of every line is built.
+    """
+    start, size = 0, len(text)
+    while start < size:
+        cut = text.find("\n", start + _CHUNK) + 1 or size
+        yield text[start:cut].splitlines()
+        start = cut
+
+
 def graph_from_text(text: str) -> Graph:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("graph "):
+    """Parse ``.g`` text in one pass over its lines, with no list of lines or of name pairs.
+
+    Names get provisional ids in order of first appearance, and ``e`` lines
+    append their two ids to one flat list, which is mapped to sorted ranks
+    once every ``v`` line is known.  The errors come in the order of a
+    parse that lists every line before it builds: the header's, then the
+    first bad line's, then the first loop or undeclared endpoint in edge
+    order (``Graph.build``'s, on a replay that runs only when some edge has
+    one), and the header counts last.
+    """
+    lines = itertools.chain.from_iterable(_line_blocks(text))
+    header = next(filter(str.strip, lines), None)
+    if header is None or not header.startswith("graph "):
         raise FormatError("graph file must start with a 'graph <name> <n> <m>' header")
     try:
-        _, _, n, m = lines[0].split()
+        _, _, n, m = header.split()
         n, m = int(n), int(m)
     except ValueError as exc:
-        raise FormatError(f"bad graph header: {lines[0]!r}") from exc
+        raise FormatError(f"bad graph header: {header!r}") from exc
     vertices: list[str] = []
-    edges: list[tuple[str, str]] = []
-    for ln in lines[1:]:
+    ids: defaultdict[str, int] = defaultdict(itertools.count().__next__)  # so list(ids)[k] is the name with id k
+    ends: list[int] = []  # the ids of each e line's two names
+    for ln in lines:
         parts = ln.split()
-        if parts[0] == "v" and len(parts) == 2:
+        if len(parts) == 3 and parts[0] == "e":
+            ends.append(ids[parts[1]])
+            ends.append(ids[parts[2]])
+        elif len(parts) == 2 and parts[0] == "v":
             vertices.append(parts[1])
-        elif parts[0] == "e" and len(parts) == 3:
-            edges.append((parts[1], parts[2]))
-        else:
+        elif parts:
             raise FormatError(f"bad graph line: {ln!r}")
-    g = Graph.build(vertices, edges)
-    if len(g.names) != n or sum(map(int.bit_count, g.rows)) != 2 * m:
+    names = tuple(sorted(set(vertices)))
+    rank = {v: r for r, v in enumerate(names)}
+    ranked = list(map([rank.get(v, -1) for v in ids].__getitem__, ends))
+    pairs = iter(ends)
+    if -1 in ranked or any(map(operator.eq, pairs, pairs)):
+        named = map(list(ids).__getitem__, ends)
+        g = Graph.build(names, zip(named, named))  # raises that edge's error
+    else:
+        g = Graph(names, _rows_from_ends(len(names), ranked))
+    if len(names) != n or sum(map(int.bit_count, g.rows)) != 2 * m:
         raise FormatError("graph header counts do not match the body")
     return g
 

@@ -13,7 +13,9 @@ The representation matrix has one column per end and one row per pair plus a
 dummy row (t, t) for every end t; a row holds 2 in the columns left of its
 first end and a single 1 in the column of its second end (pair rows only).
 Dummy rows encode the end order, which is what makes the matrix decodable.
-Each row is a ``bytes`` object, one byte per cell, built from whole slabs.
+Each row is a ``bytes`` object, one byte per cell, built from whole slabs by
+the generator of ``ilmatrix_rows``: ``build_ilmatrix`` keeps every row, and
+the ``ilmatrix`` command writes each row as it is built.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from operator import or_
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, FormatError
 from .graphs import Graph
@@ -187,7 +189,13 @@ class IlMatrix:
     row_pairs: dict[str, tuple[str, str]]
 
 
-def build_ilmatrix(rep: IntervalLikeRep) -> IlMatrix:
+def ilmatrix_rows(rep: IntervalLikeRep) -> tuple[list[tuple[str, str]], Iterator[bytes]]:
+    """The representation matrix's row pairs, in row order, and a generator of its rows.
+
+    The rows are the pairs and a dummy (t, t) per end t, sorted by end
+    ranks.  Each row is built from whole slabs when it is asked for: a 2
+    prefix, then 0s, with a 1 in the second end's column on pair rows.
+    """
     r = rep.rank
     nc = len(rep.ends)
     by_span = {(r[s1], r[s2]): (s1, s2) for s1, s2 in rep.pairs}
@@ -195,21 +203,19 @@ def build_ilmatrix(rep: IntervalLikeRep) -> IlMatrix:
     for i, t in enumerate(rep.ends):
         by_span.setdefault((i, i), (t, t))
     spans = sorted(by_span)
-    # each row is built from whole slabs: a 2 prefix, then 0s, with a 1 in
-    # the second end's column on pair rows
-    rows = tuple(
+    rows = (
         b"\x02" * a + bytes(b - a) + b"\x01" + bytes(nc - b - 1)
         if (a, b) in pair_spans
         else b"\x02" * a + bytes(nc - a)
         for a, b in spans
     )
-    all_rows = [by_span[span] for span in spans]
-    keys = tuple(pair_name(p) for p in all_rows)
-    return IlMatrix(
-        TriMatrix(keys, rep.ends, rows),
-        rep,
-        dict(zip(keys, all_rows)),
-    )
+    return [by_span[span] for span in spans], rows
+
+
+def build_ilmatrix(rep: IntervalLikeRep) -> IlMatrix:
+    pairs, rows = ilmatrix_rows(rep)
+    keys = tuple(map(pair_name, pairs))
+    return IlMatrix(TriMatrix(keys, rep.ends, tuple(rows)), rep, dict(zip(keys, pairs)))
 
 
 def _implied_pairs(m: TriMatrix) -> dict[str, tuple[int, int | None]]:

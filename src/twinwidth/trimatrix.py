@@ -3,7 +3,7 @@
 A matrix row is a ``bytes`` object with one byte per cell, 0, 1, 2 or RED
 (3), so indexing, slicing, ``count`` and ``index`` on rows run in C, and a
 cell costs one byte.  ``matrix_lines`` writes the ``.mat`` text one row at a
-time.
+time, from a matrix's rows or from any iterable of rows.
 
 Contracting two rows keeps one of them and turns every entry where the two
 rows disagreed into RED; columns symmetrically.  The red number of a matrix
@@ -65,8 +65,7 @@ class TriMatrix:
     rows: tuple[bytes, ...]
 
     def __post_init__(self) -> None:
-        if len(set(self.row_keys)) != len(self.row_keys) or len(set(self.col_keys)) != len(self.col_keys):
-            raise DomainError("duplicate row or column keys")
+        check_keys(self.row_keys, self.col_keys)
         if len(self.rows) != len(self.row_keys):
             raise DomainError("row count does not match row keys")
         for row in self.rows:
@@ -112,6 +111,12 @@ class TriMatrix:
         )
 
 
+def check_keys(row_keys: Sequence[str], col_keys: Sequence[str]) -> None:
+    """``TriMatrix``'s check on its keys alone, for a writer that streams rows: no key repeats on either axis."""
+    if len(set(row_keys)) != len(row_keys) or len(set(col_keys)) != len(col_keys):
+        raise DomainError("duplicate row or column keys")
+
+
 def adjacency_matrix(g: Graph) -> TriMatrix:
     """0/1 adjacency matrix with rows and columns sorted by vertex id: each row's bits, lowest first."""
     n = len(g.names)
@@ -123,17 +128,17 @@ def row_text(row: bytes) -> str:
     return row.translate(_TO_TEXT).decode()
 
 
-def matrix_lines(m: TriMatrix) -> Iterator[str]:
-    """The ``.mat`` text, one line at a time: the header, the two key lines, then each row."""
-    yield f"matrix {len(m.row_keys)} {len(m.col_keys)}\n"
-    yield " ".join(m.row_keys) + "\n"
-    yield " ".join(m.col_keys) + "\n"
-    for row in m.rows:
+def matrix_lines(row_keys: Sequence[str], col_keys: Sequence[str], rows: Iterable[bytes]) -> Iterator[str]:
+    """The ``.mat`` text, one line at a time: the header, the two key lines, then each row as ``rows`` yields it."""
+    yield f"matrix {len(row_keys)} {len(col_keys)}\n"
+    yield " ".join(row_keys) + "\n"
+    yield " ".join(col_keys) + "\n"
+    for row in rows:
         yield row_text(row) + "\n"
 
 
 def matrix_to_text(m: TriMatrix) -> str:
-    return "".join(matrix_lines(m))
+    return "".join(matrix_lines(m.row_keys, m.col_keys, m.rows))
 
 
 def matrix_from_text(text: str) -> TriMatrix:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -51,6 +52,35 @@ def seeded_intervals_text(n: int = 1000, seed: int = 16) -> str:
         a = rng.randrange(2 * n)
         spans.setdefault((a, a + rng.randrange(2 * n // 3)))
     return "".join(f"i x{i} {a} {b}\n" for i, (a, b) in enumerate(spans))
+
+
+def bulk_perturb_input() -> tuple[str, str]:
+    """``.g`` text of G(800, .05) and three 60-vertex ``--sets``, drawn from ``random.Random(800)``.
+
+    The shape of the largest ``perturb`` op of the ``bulk`` benchmark: 800
+    ``v`` lines and about 16 000 ``e`` lines, with names that sort unlike
+    their ranks (p10 < p2).
+    """
+    rng = random.Random(800)
+    vs = [f"p{i}" for i in range(800)]
+    es = [(vs[i], vs[j]) for i in range(800) for j in range(i + 1, 800) if rng.random() < 0.05]
+    sets = ";".join(",".join(rng.sample(vs, 60)) for _ in range(3))
+    return f"graph g 800 {len(es)}\n" + "".join(f"v {v}\n" for v in vs) + "".join(f"e {a} {b}\n" for a, b in es), sets
+
+
+def traced_peak(fn) -> int:
+    """The most memory ``fn()`` held at once beyond what was held before, as ``tracemalloc`` sees it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")
@@ -347,6 +377,47 @@ def reference_ilmatrix_rows(rep: IntervalLikeRep) -> tuple[tuple[str, ...], tupl
                 row.append(0)
         rows.append(bytes(row))
     return tuple(pair_name(p) for p in all_rows), tuple(rows)
+
+
+def reference_graph_from_text(text: str) -> tuple:
+    """The former ``.g`` loader with the former ``Graph.build``: ``("graph", names, rows)``, or the error it raised.
+
+    An error is ``(class name, message)``.  It lists every non-blank line
+    and parses them all before it looks at an edge, so every format error
+    comes first, in line order; then the edges are checked in order, a loop
+    before an endpoint outside the ``v`` lines; the header counts come last.
+    It calls nothing in the package.
+    """
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or not lines[0].startswith("graph "):
+        return "FormatError", "graph file must start with a 'graph <name> <n> <m>' header"
+    try:
+        _, _, n, m = lines[0].split()
+        n, m = int(n), int(m)
+    except ValueError:
+        return "FormatError", f"bad graph header: {lines[0]!r}"
+    vertices, edges = [], []
+    for ln in lines[1:]:
+        parts = ln.split()
+        if parts[0] == "v" and len(parts) == 2:
+            vertices.append(parts[1])
+        elif parts[0] == "e" and len(parts) == 3:
+            edges.append((parts[1], parts[2]))
+        else:
+            return "FormatError", f"bad graph line: {ln!r}"
+    names = tuple(sorted(set(vertices)))
+    index = {v: i for i, v in enumerate(names)}
+    rows = [0] * len(names)
+    for u, v in edges:
+        if u == v:
+            return "DomainError", f"loop at vertex {u!r}"
+        if u not in index or v not in index:
+            return "DomainError", f"edge {(min(u, v), max(u, v))!r} has endpoint outside the vertex set"
+        rows[index[u]] |= 1 << index[v]
+        rows[index[v]] |= 1 << index[u]
+    if len(names) != n or sum(map(int.bit_count, rows)) != 2 * m:
+        return "FormatError", "graph header counts do not match the body"
+    return "graph", names, tuple(rows)
 
 
 def oracle_chord_crossings(sequence) -> set[frozenset[str]]:

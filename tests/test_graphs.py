@@ -35,14 +35,17 @@ from twinwidth.solver import twinwidth_exact, twinwidth_greedy
 from twinwidth.trimatrix import adjacency_matrix
 from conftest import (
     brute_twinwidth,
+    bulk_perturb_input,
     complete_graph,
     oracle_exposer_graph,
     oracle_permutation_graph,
     oracle_rows,
     path_graph,
     reference_contract,
+    reference_graph_from_text,
     reference_start,
     seeded_words,
+    traced_peak,
 )
 from test_cli import NAMES
 
@@ -423,3 +426,184 @@ def test_graph_build_pair_errors():
         Graph.build("ab", [("a", "b"), ("a", "a")])
     with pytest.raises(DomainError, match=r"edge \('a', 'c'\) has endpoint outside the vertex set"):
         Graph.build("ab", [("c", "a")])
+
+
+# ---------------------------------------------------------------------------
+# the .g loader against the former list-every-line loader
+
+SEPARATORS = ("\n", "\r\n", "\r", "\x0c", " ", "\x1c", "\x85")
+
+
+def load_outcome(text: str) -> tuple:
+    """``graph_from_text`` in ``reference_graph_from_text``'s terms: ``("graph", names, rows)`` or ``(class name, message)``."""
+    try:
+        g = graph_from_text(text)
+    except DomainError as exc:
+        return type(exc).__name__, str(exc)
+    return "graph", g.names, g.rows
+
+
+def join_lines(rng: random.Random, lines: list[str]) -> str:
+    """The lines with seeded separators and padding, and blank or whitespace-only lines between them.
+
+    A header keeps the one space after ``graph``, which the format requires.
+    """
+    out = []
+    for ln in lines:
+        if rng.random() < 0.1:
+            out.append(rng.choice(("", " ", "\t \t")) + rng.choice(SEPARATORS))
+        head, body = (ln[:6], ln[6:]) if ln.startswith("graph ") else ("", ln)
+        pad = rng.choice(("", "", " ", "\t"))
+        out.append(head + body.replace(" ", rng.choice((" ", " ", "  ", "\t"))) + pad + rng.choice(SEPARATORS))
+    return "".join(out)
+
+
+def seeded_graph_lines(rng: random.Random, n: int, p: float) -> tuple[list[str], int]:
+    """``v`` and ``e`` lines of a seeded graph, some repeated or reversed, in shuffled order, and its edge count."""
+    vs = rng.sample(ORACLE_NAMES, n)
+    pairs = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in itertools.combinations(vs, 2) if rng.random() < p]
+    body = [f"v {v}" for v in vs] + [f"e {u} {v}" for u, v in pairs]
+    body += rng.sample(body, len(body) // 5)  # repeated v and e lines
+    body += [f"e {v} {u}" for u, v in rng.sample(pairs, len(pairs) // 5)]  # and e lines the other way round
+    rng.shuffle(body)  # v lines after e lines
+    return body, len(pairs)
+
+
+def test_graph_from_text_matches_reference_on_seeded_graphs():
+    rng = random.Random(27)
+    for _ in range(120):
+        n = rng.randint(0, 40)
+        body, m = seeded_graph_lines(rng, n, rng.choice((0.05, 0.3, 0.8)))
+        text = join_lines(rng, [f"graph g {n} {m}", *body])
+        expected = reference_graph_from_text(text)
+        assert expected[0] == "graph"
+        assert load_outcome(text) == expected
+
+
+def test_line_blocks_hold_the_lines_of_splitlines():
+    """Cuts just after a ``\\n`` keep ``\\r\\n`` whole; other separators at or next to the cut split as before."""
+    chunk = graphs._CHUNK
+    for sep in SEPARATORS:
+        for shift in range(-3, 4):
+            text = "x" * (chunk - 1 + shift) + "\r\n" + f"y{sep}" * 5 + "\n" + "z" * chunk + sep + "\r\n" * 3 + "w"
+            assert list(itertools.chain.from_iterable(graphs._line_blocks(text))) == text.splitlines()
+    assert list(graphs._line_blocks("")) == []
+
+
+def test_graph_from_text_across_line_blocks():
+    """Texts of several blocks with ``\\r\\n`` lines, one of them cut between its ``\\r`` and ``\\n``, read as before."""
+    chunk = graphs._CHUNK
+    rng = random.Random(2700)
+    vs = [f"q{i}" for i in range(700)]
+    pairs = [(u, v) for u, v in itertools.combinations(vs, 2) if rng.random() < 0.02]
+    body = [f"v {v}" for v in vs] + [f"e {u} {v}" for u, v in pairs]
+    cut_in_crlf = 0
+    for pad in range(12):
+        text = " " * pad + "\r\n" + "\r\n".join([f"graph g {len(vs)} {len(pairs)}", *body]) + "\r\n"
+        assert len(text) > 2 * chunk
+        cut_in_crlf += text[chunk - 1 : chunk + 1] == "\r\n"
+        expected = reference_graph_from_text(text)
+        assert expected[0] == "graph"
+        assert load_outcome(text) == expected
+    assert cut_in_crlf
+
+
+LOADER_FAULTS = {
+    "empty": ("", "FormatError"),
+    "blank only": ("\n \t\r\n\x0c", "FormatError"),
+    "no header": ("v a\ngraph g 1 0\n", "FormatError"),
+    "indented header": (" graph g 1 0\nv a\n", "FormatError"),
+    "header fields": ("graph g 1\nv a\n", "FormatError"),
+    "header count": ("graph g x 0\nv a\n", "FormatError"),
+    "header extra": ("graph g 1 0 0\nv a\n", "FormatError"),
+    "bad tag": ("graph g 1 0\nv a\nw a\n", "FormatError"),
+    "short v": ("graph g 1 0\nv a\nv\n", "FormatError"),
+    "long v": ("graph g 1 0\nv a b\n", "FormatError"),
+    "short e": ("graph g 1 0\nv a\ne a\n", "FormatError"),
+    "long e": ("graph g 2 1\nv a\nv b\ne a b c\n", "FormatError"),
+    "loop": ("graph g 1 1\nv a\ne a a\n", "DomainError"),
+    "loop, undeclared": ("graph g 1 1\nv a\ne z z\n", "DomainError"),
+    "undeclared end": ("graph g 1 1\nv a\ne z a\n", "DomainError"),
+    "vertex count": ("graph g 2 0\nv a\n", "FormatError"),
+    "edge count": ("graph g 2 2\nv a\nv b\ne a b\ne b a\n", "FormatError"),
+    # several faults: format errors in line order, then edge errors in edge order, then counts
+    "header, then bad line": ("graph g 1\nv a\nbad\n", "FormatError"),
+    "edge error, then bad line": ("graph g 2 1\nv a\ne a z\nv\n", "FormatError"),
+    "loop, then bad line": ("graph g 1 1\ne a a\nv a\nx y z w\n", "FormatError"),
+    "two bad lines": ("graph g 1 0\nv a\nv\ne\n", "FormatError"),
+    "undeclared, then loop": ("graph g 2 2\nv a\ne a z\ne a a\n", "DomainError"),
+    "loop, then undeclared": ("graph g 2 2\nv a\ne a a\ne a z\n", "DomainError"),
+    "loop declared later": ("graph g 1 1\ne b b\nv b\n", "DomainError"),
+    "undeclared, then counts": ("graph g 9 9\nv a\ne z a\n", "DomainError"),
+    "bad line, then counts": ("graph g 9 9\nv a\nv\n", "FormatError"),
+}
+
+
+@pytest.mark.parametrize("case", LOADER_FAULTS)
+def test_graph_from_text_faults_match_reference(case):
+    text, kind = LOADER_FAULTS[case]
+    expected = reference_graph_from_text(text)
+    assert expected[0] == kind
+    assert load_outcome(text) == expected
+
+
+def test_graph_from_text_fault_messages():
+    messages = {case: reference_graph_from_text(text)[1] for case, (text, _) in LOADER_FAULTS.items()}
+    assert messages["empty"] == messages["no header"] == "graph file must start with a 'graph <name> <n> <m>' header"
+    assert messages["header count"] == "bad graph header: 'graph g x 0'"
+    assert messages["edge error, then bad line"] == "bad graph line: 'v'"
+    assert messages["loop, then bad line"] == "bad graph line: 'x y z w'"
+    assert messages["loop, undeclared"] == messages["loop, then undeclared"].replace("'a'", "'z'") == "loop at vertex 'z'"
+    assert messages["undeclared end"] == messages["undeclared, then loop"] == "edge ('a', 'z') has endpoint outside the vertex set"
+    assert messages["vertex count"] == messages["edge count"] == "graph header counts do not match the body"
+
+
+def test_graph_from_text_fault_mixes_match_reference():
+    """Seeded texts of well-formed, malformed, loop and undeclared-endpoint lines in random order."""
+    rng = random.Random(2701)
+    names = ORACLE_NAMES[:8]
+    seen: dict[str, int] = {}
+    for _ in range(1500):
+        declared = rng.sample(names[:6], rng.randint(1, 6))  # names[6:] are never declared
+        lines = [f"v {v}" for v in declared]
+        edges = set()
+        for _ in range(rng.randint(0, 8)):
+            u, v = rng.sample(declared, 2) if len(declared) > 1 and rng.random() < 0.85 else rng.choices(names, k=2)
+            lines.append(f"e {u} {v}")
+            edges.add(frozenset((u, v)))
+        for _ in range(rng.choices((0, 1, 2), (6, 3, 1))[0]):
+            lines.insert(rng.randint(0, len(lines)), rng.choice(("v", "e a", "v a b", "x a", "e a b c", "graph g 1 1")))
+        rng.shuffle(lines)
+        n, m = (len(declared), len(edges)) if rng.random() < 0.8 else (rng.randint(0, 7), rng.randint(0, 8))
+        header = rng.choices((f"graph g {n} {m}", "graph g 1", f"graph g {n} m", f"grap g {n} {m}"), (20, 1, 1, 1))[0]
+        text = join_lines(rng, [header, *lines])
+        expected = reference_graph_from_text(text)
+        assert load_outcome(text) == expected, text
+        starts = ("graph file", "bad graph header", "bad graph line", "loop", "edge", "graph header counts")
+        kind = expected[0] if expected[0] == "graph" else next(k for k in starts if expected[1].startswith(k))
+        seen[kind] = seen.get(kind, 0) + 1
+    # every outcome occurs: a graph, each header error, a bad line, a loop, an undeclared endpoint, the counts
+    assert len(seen) == 7 and min(seen.values()) >= 20, seen
+
+
+def test_reference_loader_does_not_call_the_package(monkeypatch):
+    texts = [LOADER_FAULTS[case][0] for case in ("loop, undeclared", "edge error, then bad line", "edge count")]
+    texts.append("graph g 3 2\nv b\ne a b\nv a\ne c b\nv c\n")
+    expected = [reference_graph_from_text(text) for text in texts]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the reference loader called the package")
+
+    for name in ("graph_from_text", "_line_blocks", "_rows_from_ends"):
+        monkeypatch.setattr(graphs, name, refuse)
+    monkeypatch.setattr(Graph, "build", refuse)
+    monkeypatch.setattr(Graph, "__post_init__", refuse)
+    assert [reference_graph_from_text(text) for text in texts] == expected
+    assert expected[-1] == ("graph", ("a", "b", "c"), (2, 5, 2))
+
+
+def test_graph_from_text_memory_is_bounded():
+    """The G(800, .05) text loads within 1.5 MiB; the former list-every-line loader took 3.9 MiB."""
+    text, _ = bulk_perturb_input()
+    assert load_outcome(text) == reference_graph_from_text(text)
+    assert traced_peak(lambda: graph_from_text(text)) <= 1.5 * 2**20
