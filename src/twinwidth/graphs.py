@@ -3,11 +3,12 @@
 Vertices are opaque strings.  A ``Graph`` holds one adjacency form: the
 names, strictly sorted, and one int bitmask row per name over that order.
 The solvers and ``sequence_width`` start from a copy of the rows, and the
-``.g`` and JSON writers read each row's bits above its own index.  The
-generators (``permutation_graph`` here, ``obstruction.generate_exposer``)
-fill the rows directly from ``prefix_masks`` sweeps, with no list of name
-pairs.  The ``.g`` loader reads its text in one pass, keeps the edges as a
-flat list of int ids and fills the rows with ``_rows_from_ends``, the rule
+``.g`` and JSON writers read each row's bits above its own index.  One
+rule, ``span_graph``, builds every interval and overlap graph from named
+spans: ``ilrep``'s decoders, ``permutation_graph`` (the overlap graph of
+its two-line model) and ``obstruction.generate_exposer`` call it.  The
+``.g`` loader reads its text in one pass, keeps the edges as a flat list
+of int ids and fills the rows with ``_rows_from_ends``, the rule
 ``Graph.build`` also uses; ``Graph.build`` is for name-pair input:
 ``relabel`` and other edge lists.
 
@@ -216,6 +217,46 @@ def sequence_width(g: Graph, seq: Sequence[ContractionStep]) -> int:
 
 
 # ---------------------------------------------------------------------------
+# interval and overlap graphs of spans
+
+
+def span_graph(spans: dict[str, tuple[int, int]], overlap: bool) -> Graph:
+    """The graph on named closed spans (l, r), 0 <= l <= r: the interval graph, or with ``overlap`` the overlap graph.
+
+    Two spans are adjacent when they meet; overlapping ones also need that
+    neither strictly contains the other, so sharing an end makes an edge.
+    Over the names in sorted order, ``first[x]`` masks the spans with first
+    end < x and ``second[x]`` those with second end >= x.  Span (l, r) meets
+    exactly ``first[r + 1] & second[l]``.  Of those, the overlap kind keeps
+    the spans not strictly inside it, ``first[l + 1] | second[r]``, and
+    drops those strictly containing it, ``first[l] & second[r + 1]``, by
+    an XOR, since all of them are kept so far.  A row costs a few big-int
+    operations whatever its degree.
+    """
+    names = sorted(spans)
+    ends = [spans[v] for v in names]
+    top = max((r for _, r in ends), default=0) + 2
+    first, second = [0] * top, [0] * top
+    for k, (l, r) in enumerate(ends):
+        first[l + 1] |= 1 << k
+        second[r] |= 1 << k
+    # running ORs, from the left and from the right; a position where no span ends keeps the previous int
+    acc = 0
+    first = [acc := acc | bits if bits else acc for bits in first]
+    acc = 0
+    second = [acc := acc | bits if bits else acc for bits in reversed(second)]
+    second.reverse()
+    if overlap:
+        rows = [
+            (first[r + 1] & second[l] & (first[l + 1] | second[r])) ^ (first[l] & second[r + 1]) ^ 1 << k
+            for k, (l, r) in enumerate(ends)
+        ]
+    else:
+        rows = [(first[r + 1] & second[l]) ^ 1 << k for k, (l, r) in enumerate(ends)]
+    return Graph(tuple(names), tuple(rows))
+
+
+# ---------------------------------------------------------------------------
 # permutations (one-line notation over 1..p)
 
 
@@ -238,37 +279,20 @@ def inverse_permutation(word: Sequence[int]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def prefix_masks(order: Sequence[str], index: dict[str, int]) -> list[int]:
-    """``[0, b0, b0 | b1, ...]`` for ``bk = 1 << index[order[k]]``: entry k ORs the first k names' bits.
-
-    The last entry is the whole set, so ``masks[-1] ^ masks[k]`` is the
-    suffix from k.  One sweep is n big-int ORs, whatever the number of edges.
-    """
-    return list(itertools.accumulate((1 << index[v] for v in order), operator.or_, initial=0))
-
-
 def permutation_graph(word: Sequence[int]) -> Graph:
     """The inversion graph of a permutation: vertices "1".."p", edge ij (i<j) iff word[i] > word[j].
 
-    Position i sees j exactly when "j is earlier" and "j holds a larger
-    value" agree, so with ``before`` (earlier positions) and ``above``
-    (larger values) from two prefix sweeps, its row is the complement of
-    ``before ^ above`` without i.
+    It is the overlap graph of the two-line model: position i is the span
+    (i, 2p - word[i]).  Every first end lies left of every second end, so
+    two spans always meet, and for i < j span j lies inside span i exactly
+    when word[j] > word[i].
 
     >>> sorted(permutation_graph((3, 1, 4, 2)).edges)
     [('1', '2'), ('1', '4'), ('3', '4')]
     """
     w = check_permutation(word)
     p = len(w)
-    names = [str(i) for i in range(1, p + 1)]
-    ranked = sorted(names)  # "10" < "2"
-    index = {v: i for i, v in enumerate(ranked)}
-    before = prefix_masks(names, index)
-    above = prefix_masks([names[i - 1] for i in reversed(inverse_permutation(w))], index)  # values p, p - 1, ...
-    rows = [0] * p
-    for i, v in enumerate(names):
-        rows[index[v]] = before[-1] ^ before[i] ^ above[p - w[i]] ^ 1 << index[v]
-    return Graph(tuple(ranked), tuple(rows))
+    return span_graph({str(i + 1): (i, 2 * p - x) for i, x in enumerate(w)}, overlap=True)
 
 
 def permutation_from_orders(first: Sequence, second: Sequence) -> tuple[int, ...]:

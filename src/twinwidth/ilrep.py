@@ -22,12 +22,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
-from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, FormatError
-from .graphs import Graph
+from .graphs import Graph, span_graph
 from .records import record
 from .trimatrix import RED, TriMatrix
 
@@ -148,34 +146,10 @@ def rep_from_chords(diagram: ChordDiagram) -> IntervalLikeRep:
 # decoding
 
 
-def _sweep_graph(spans: dict[str, tuple[int, int]], kind: str) -> Graph:
-    """The graph on named rank spans, its rows built from prefix and suffix masks.
-
-    Over the names in sorted order, ``first[x]`` masks the spans with first
-    end < x and ``second[x]`` those with second end >= x.  Span (l, r) meets
-    exactly ``first[r + 1] & second[l]``.  The overlap kind drops the spans
-    strictly inside it, ``~first[l + 1] & ~second[r]``, and those strictly
-    containing it, ``first[l] & second[r + 1]``.  A row costs a few big-int
-    operations whatever its degree: O(n log n + (n + e) * n / word) for e ends.
-    """
-    names = sorted(spans)
-    ends = [spans[v] for v in names]
-    top = max((r for _, r in ends), default=0) + 2
-    first, second = [0] * top, [0] * top
-    for k, (l, r) in enumerate(ends):
-        first[l + 1] |= 1 << k
-        second[r] |= 1 << k
-    first, second = list(accumulate(first, or_)), list(accumulate(second[::-1], or_))[::-1]
-    rows = [(first[r + 1] & second[l]) ^ 1 << k for k, (l, r) in enumerate(ends)]
-    if kind == OVERLAP:
-        rows = [row & (first[l + 1] | second[r]) & ~(first[l] & second[r + 1]) for row, (l, r) in zip(rows, ends)]
-    return Graph(tuple(names), tuple(rows))
-
-
 def decode(rep: IntervalLikeRep) -> Graph:
-    """The graph on the end pairs, under the representation's kind: ``_sweep_graph``'s mask rule on their end ranks."""
+    """The graph on the end pairs, under the representation's kind: ``span_graph`` on their end ranks."""
     r = rep.rank
-    return _sweep_graph({pair_name(p): (r[p[0]], r[p[1]]) for p in rep.pairs}, rep.kind)
+    return span_graph({pair_name(p): (r[p[0]], r[p[1]]) for p in rep.pairs}, rep.kind == OVERLAP)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +235,7 @@ def decode_from_matrix(m: IlMatrix | TriMatrix, kind: str) -> Graph:
         raise DomainError(f"kind must be one of {KINDS}, got {kind!r}")
     matrix = m.matrix if isinstance(m, IlMatrix) else m
     implied = validate_ilmatrix(matrix)
-    return _sweep_graph({key: span for key, span in implied.items() if span[1] is not None}, kind)
+    return span_graph({key: span for key, span in implied.items() if span[1] is not None}, kind == OVERLAP)
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +315,17 @@ def intervals_to_text(intervals: Iterable[tuple[str, Fraction | int, Fraction | 
     return "".join(f"i {ident} {left} {right}\n" for ident, left, right in intervals)
 
 
+_MAX_EXPONENT = 4300  # the digit limit of int(str), which already refuses longer digit tokens
+
+
 def _endpoint(token: str) -> Fraction | int:
-    """An endpoint value: ``int`` for a token of ASCII digits only, else ``Fraction(token)``."""
-    return int(token) if token.isascii() and token.isdigit() else Fraction(token)
+    """``int`` for a token of ASCII digits only, else ``Fraction(token)``, its exponent checked before 10 ** exponent is built."""
+    if token.isascii() and token.isdigit():
+        return int(token)
+    exponent = token.replace("E", "e").partition("e")[2]
+    if exponent and abs(int(exponent)) > _MAX_EXPONENT:
+        raise ValueError(f"exponent {exponent} is beyond {_MAX_EXPONENT}")
+    return Fraction(token)
 
 
 def intervals_from_text(text: str) -> list[tuple[str, Fraction | int, Fraction | int]]:

@@ -25,7 +25,7 @@ import math
 from typing import Iterable, Sequence
 
 from .errors import CapExceeded, DomainError, ExtractionError
-from .graphs import Graph, check_permutation, first_twin_pair, inverse_permutation, prefix_masks
+from .graphs import Graph, check_permutation, first_twin_pair, inverse_permutation, span_graph
 from .ilrep import INTERVAL, OVERLAP, IlMatrix, IntervalLikeRep, build_ilmatrix, decode, pair_name
 from .records import record
 from .trimatrix import Division, MixedMinorWitness, find_mixed_minor, permutation_matrix, verify_division_mixed
@@ -336,18 +336,12 @@ class ExposerInstance:
 
 
 def generate_exposer(word: Sequence[int]) -> ExposerInstance:
-    """The canonical interval graph exposing ``word``.
+    """The canonical interval graph exposing ``word``: the interval graph of its intervals.
 
     Three cliques of size p on a line: the mates of the first chain end
     exactly at the core intervals' left ends, the second chain's mates start
     at their right ends, which are arranged by the permutation; the two mate
     cliques never touch each other.
-
-    The rows are filled from prefix sweeps (``prefix_masks``), with no pair
-    list: besides its own clique, core vertex ``w_k`` sees ``u_0..u_k`` and
-    every ``v_j`` with ``inv[j] <= inv[k]``, so ``u_i`` sees the core suffix
-    from i and ``v_j`` the core vertices from rank ``inv[j]`` in ``inv``
-    order.
     """
     w = check_permutation(word)
     p = len(w)
@@ -358,19 +352,7 @@ def generate_exposer(word: Sequence[int]) -> ExposerInstance:
     intervals = [(core[k], p - 1 - k, 2 * p + inv[k]) for k in range(p)]
     intervals += [(side1[k], -1 - k, p - 1 - k) for k in range(p)]
     intervals += [(side2[k], 2 * p + inv[k], 3 * p + inv[k]) for k in range(p)]
-
-    names = sorted(side1 + side2 + core)  # "u10" < "u2"
-    index = {v: i for i, v in enumerate(names)}
-    # w[x - 1] - 1 is the index with inv rank x, so these list side2 and core in inv order
-    s1, s2 = prefix_masks(side1, index), prefix_masks([side2[x - 1] for x in w], index)
-    cw, cw_inv = prefix_masks(core, index), prefix_masks([core[x - 1] for x in w], index)
-    rows = [0] * 3 * p
-    for k in range(p):
-        u, v, c = index[side1[k]], index[side2[k]], index[core[k]]
-        rows[u] = s1[-1] ^ 1 << u | cw[-1] ^ cw[k]
-        rows[v] = s2[-1] ^ 1 << v | cw[-1] ^ cw_inv[inv[k] - 1]
-        rows[c] = cw[-1] ^ 1 << c | s1[k + 1] | s2[inv[k]]
-    g = Graph(tuple(names), tuple(rows))
+    g = span_graph({v: (l + p, r + p) for v, l, r in intervals}, overlap=False)  # + p: no end is negative
     return ExposerInstance(g, tuple(core), tuple(side1), tuple(side2), w, tuple(intervals))
 
 

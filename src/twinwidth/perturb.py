@@ -208,17 +208,16 @@ def _homogeneous_ranks(b: int, exponent: int, members: Sequence[Callable[[int], 
 def find_homogeneous_set(
     base: Sequence,
     exponent: int,
-    sets: Sequence[Callable[[tuple], bool] | Iterable[tuple]],
+    sets: Sequence[Iterable[tuple]],
 ) -> HomogeneousSet:
     """A homogeneous copy of the base inside base^exponent.
 
-    Needs exponent >= 2^len(sets), after which the search cannot fail.  Sets
-    may be collections of tuples or membership callables.
+    Needs exponent >= 2^len(sets), after which the search cannot fail.
     """
     base = tuple(base)
     if not base:
         raise DomainError("base must be nonempty")
-    members = [x if callable(x) else frozenset(x).__contains__ for x in sets]
+    members = [frozenset(x).__contains__ for x in sets]
     if exponent < 2 ** len(members):
         raise DomainError(f"exponent {exponent} < 2^{len(members)}; the search may fail")
     orders = LexPowerOrders(base, base, exponent)

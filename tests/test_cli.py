@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -373,6 +374,24 @@ def test_undecodable_input_is_one_error_line(capsys, tmp_path, argv, data, err):
     assert run([*argv, str(path)]) == 1
     got = capsys.readouterr()
     assert got.out == "" and got.err.startswith(err.format(path=path)) and got.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("token", ["1e10000000", "1E-10000000", "1e+99999999"])
+def test_endpoint_exponent_is_refused_before_fraction_is_built(capsys, tmp_path, token):
+    path = tmp_path / "big.ivl"
+    path.write_text(f"i a 0 1\ni b 1 {token}\n")
+    start = time.perf_counter()
+    assert run(["decode", "--intervals", str(path)]) == 1
+    assert time.perf_counter() - start < 0.5
+    got = capsys.readouterr()
+    assert (got.out, got.err) == ("", f"error: bad interval bounds in 'i b 1 {token}'\n")
+
+
+@pytest.mark.parametrize("token", ["1e3", "2.5e-3", "4/2"])
+def test_endpoint_exponents_within_the_limit_decode(capsys, tmp_path, token):
+    path = tmp_path / "small.ivl"
+    path.write_text(f"i a 0 {token}\ni b {token} 5000\n")
+    assert run_cli(capsys, "decode", "--intervals", str(path)) == (0, "graph g 2 1\nv (a,b)\nv (b,c)\ne (a,b) (b,c)\n")
 
 
 def test_tww_cap_defaults_to_each_solvers_own(capsys, monkeypatch, demo5_adj):

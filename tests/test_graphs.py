@@ -224,7 +224,7 @@ def test_generator_oracles_do_not_call_the_package(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a generator oracle called the package")
 
-    for module, name in [(graphs, "permutation_graph"), (graphs, "prefix_masks"), (graphs, "check_permutation"),
+    for module, name in [(graphs, "permutation_graph"), (graphs, "span_graph"), (graphs, "check_permutation"),
                          (graphs, "inverse_permutation"), (obstruction, "generate_exposer")]:
         monkeypatch.setattr(module, name, refuse)
     monkeypatch.setattr(Graph, "build", refuse)

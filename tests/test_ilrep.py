@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from twinwidth import ilrep
 from twinwidth.errors import DomainError, FormatError
-from twinwidth.graphs import is_isomorphic
+from twinwidth.graphs import is_isomorphic, permutation_graph
 from twinwidth.ilrep import (
     INTERVAL,
     KINDS,
@@ -39,6 +40,7 @@ from conftest import (
     reference_condense,
     reference_ilmatrix_rows,
     seeded_intervals_text,
+    seeded_words,
 )
 
 
@@ -427,8 +429,21 @@ def test_rep_to_intervals_roundtrip(demo6_rep):
 @example("1e3")
 @example("6/4")
 @example("1/0")
+@example("1e4300")
+@example("1E-4300")
+@example("1e4301")
+@example("1e-4_301")
+@example("2e٤٣٠١")
 def test_endpoint_tokens_read_like_fraction(token):
-    """An endpoint equals ``Fraction(token)`` and hashes alike; the parse fails exactly where ``Fraction`` does."""
+    """An endpoint equals ``Fraction(token)`` and hashes alike; the parse fails exactly where ``Fraction`` does.
+
+    The one exception: a token whose exponent exceeds 4 300 in absolute value fails.
+    """
+    exponent = re.search(r"[eE]([-+]?\d+(?:_\d+)*)$", token)
+    if exponent and abs(int(exponent[1])) > 4300:
+        with pytest.raises(FormatError):
+            intervals_from_text(f"i x {token} {token}\n")
+        return
     try:
         want = Fraction(token)
     except (ValueError, ZeroDivisionError):
@@ -438,6 +453,16 @@ def test_endpoint_tokens_read_like_fraction(token):
     [(_, left, right)] = intervals_from_text(f"i x {token} {token}\n")
     assert left == right == want and hash(left) == hash(want)
     assert type(left) is (int if token.isascii() and token.isdigit() else Fraction)
+
+
+def test_permutation_graph_is_the_overlap_graph_of_its_two_line_model():
+    words = [w for p in range(7) for w in itertools.permutations(range(1, p + 1))] + seeded_words()
+    for word in words:
+        p = len(word)
+        rep = rep_from_intervals([(str(i + 1), i, 2 * p - x) for i, x in enumerate(word)], OVERLAP)
+        assert len(rep.ends) == 2 * p  # the ends are the values 0..2p-1, so end k has value k
+        position = {pair_name((rep.ends[i], rep.ends[2 * p - x])): str(i + 1) for i, x in enumerate(word)}
+        assert decode(rep).relabel(position) == permutation_graph(word)
 
 
 @pytest.mark.parametrize("text", ["i a 2 3\ni b 4/2 3\n", "i a 4/2 3\ni b 2 3\n", "i a 2 3\ni b 2.0 3\n"])
