@@ -48,7 +48,6 @@ from .obstruction import (
     check_exposes,
     circle_permutation_witness,
     extract_perm_submatrix,
-    find_exposed_permutations,
     generate_exposer,
     interval_exposure_witness,
     planted_mixed_minor_rep,

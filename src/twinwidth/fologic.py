@@ -4,8 +4,8 @@ Formulas are plain syntax trees.  A structure holds a finite domain, each
 named binary relation as one bitmask row per element and each named unary
 mark as one bitmask; ``graph_structure`` passes a graph's rows through.
 Each ``evaluate`` call compiles its sentence once into nested closures over
-element indices that read those rows and masks, plus one column mask per
-element of each relation it names; every atom's relation, mark and arity is
+element indices that read those rows and masks, plus a relation's column
+masks once a sweep reads one; every atom's relation, mark and arity is
 checked before anything is evaluated.  A quantifier whose body holds no
 quantifier decides by one sweep: the body yields the bitmask of the elements
 that satisfy it, and its lowest set bit is the first element that decides.
@@ -314,8 +314,8 @@ def _compile(st: Structure, sentence: Formula, budget: int):
     """Compile a sentence into a closure that returns its truth on st.
 
     Elements are 0..D-1 and every binding is a slot of one shared ``env``
-    list.  Atoms read the structure's rows and marks as they are; only the
-    column masks of each relation that the sentence names are built here.
+    list.  Atoms read the structure's rows and marks as they are; a sweep
+    builds a relation's column masks the first time it reads one.
 
     A quantifier whose body holds no quantifier decides by one sweep: the body
     compiles to a closure that returns, under ``env``, the bitmask of the
@@ -341,6 +341,7 @@ def _compile(st: Structure, sentence: Formula, budget: int):
     env: list[int] = []
     tables: dict[int, dict] = {}
     bits: dict[tuple[str, int], object] = {}
+    columns: dict[str, list[int]] = {}  # per relation, once a sweep reads an atom R(v x) with v swept
     order: list[Formula] = []
     stack = [sentence]
     while stack:  # list occurrences and check every atom against st before any evaluation
@@ -356,10 +357,7 @@ def _compile(st: Structure, sentence: Formula, budget: int):
                 if f.rel not in st.relations:
                     raise DomainError(f"unknown relation {f.rel!r}")
                 rows = st.relations[f.rel]
-                # row i as D binary digits puts bit j at character D-1-j, so zip reads the columns last first
-                digits = [format(row, f"0{len(span)}b") for row in rows]
-                cols = [int("".join(col)[::-1], 2) for col in zip(*digits)][::-1]
-                bits[f.rel, 2] = rows, cols, sum(1 << i for i in span if rows[i] >> i & 1)
+                bits[f.rel, 2] = rows, sum(1 << i for i in span if rows[i] >> i & 1)
             else:
                 raise DomainError(f"relation {f.rel!r} has unsupported arity {len(f.args)}")
     seen = Counter(map(id, order))
@@ -435,10 +433,17 @@ def _compile(st: Structure, sentence: Formula, budget: int):
             if len(at) == 1:
                 m = bits[f.rel, 1]
                 return lambda: m
-            (a, b), (rows, cols, diag) = at, bits[f.rel, 2]
+            (a, b), (rows, diag) = at, bits[f.rel, 2]
             if a == b:
                 return lambda: diag
-            return (lambda: cols[env[b]]) if a == s else (lambda: rows[env[a]])
+            if a != s:
+                return lambda: rows[env[a]]
+            if f.rel not in columns:
+                # row i as D binary digits puts bit j at character D-1-j, so zip reads the columns last first
+                digits = [format(row, f"0{len(span)}b") for row in rows]
+                columns[f.rel] = [int("".join(col)[::-1], 2) for col in zip(*digits)][::-1]
+            cols = columns[f.rel]
+            return lambda: cols[env[b]]
         if isinstance(f, Eq) and s in (at := [scope[f.left], scope[f.right]]):
             a, b = at
             if a == b:
@@ -611,7 +616,7 @@ def _leq_formula(mark: str, x: str, y: str) -> Formula:
     )
 
 
-@cache  # transduce_permutation asks for the same two trees on every mark assignment
+@cache  # criterion 6 calls transduce_permutation once per exposer, and every call reuses the same two trees
 def _linear_order_formula(mark_domain: str, mark: str) -> Formula:
     def guarded(vars_: Sequence[str], body: Formula) -> Formula:
         out = body
@@ -634,7 +639,6 @@ def transduce_permutation(
     core: Iterable[str],
     side1: Iterable[str],
     side2: Iterable[str],
-    budget: int = DEFAULT_EVAL_BUDGET,
 ) -> tuple[int, ...] | None:
     """Read a permutation off three vertex marks, or None.
 
@@ -647,28 +651,12 @@ def transduce_permutation(
         raise DomainError("marks must be disjoint")
     st = graph_structure(g, {"m": core, "m1": side1, "m2": side2})
     for mark in ("m1", "m2"):
-        if not evaluate(st, _linear_order_formula("m", mark), budget):
+        if not evaluate(st, _linear_order_formula("m", mark)):
             return None
     # inclusion is a linear order on the core, so the set sizes grow strictly along it
     first = sorted(core, key=lambda v: len(g.neighbors(v) & side1))
     second = sorted(core, key=lambda v: len(g.neighbors(v) & side2))
     return permutation_from_orders(first, second)
-
-
-def transduction_image(g: Graph, cap: int = 6, budget: int = DEFAULT_EVAL_BUDGET) -> set[tuple[int, ...]]:
-    """All permutations obtainable from some disjoint mark assignment (n <= cap)."""
-    vs = g.names
-    if len(vs) > cap:
-        raise BudgetExceeded(f"exhaustive mark expansion cap {cap} exceeded")
-    out: set[tuple[int, ...]] = set()
-    for assignment in itertools.product(range(4), repeat=len(vs)):
-        marks: list[list[str]] = [[], [], [], []]
-        for v, a in zip(vs, assignment):
-            marks[a].append(v)
-        got = transduce_permutation(g, marks[1], marks[2], marks[3], budget)
-        if got is not None:
-            out.add(got)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -21,16 +21,13 @@ materialized (it grows combinatorially).
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Iterable, Sequence
 
-from .errors import CapExceeded, DomainError, ExtractionError
+from .errors import DomainError, ExtractionError
 from .graphs import Graph, check_permutation, first_twin_pair, inverse_permutation, span_graph
 from .ilrep import INTERVAL, OVERLAP, IlMatrix, IntervalLikeRep, build_ilmatrix, decode, pair_name
 from .records import record
 from .trimatrix import Division, MixedMinorWitness, find_mixed_minor, permutation_matrix, verify_division_mixed
-
-DEFAULT_EXPOSURE_SEARCH_CAP = 500_000
 
 
 def reversal(word: Sequence[int]) -> tuple[int, ...]:
@@ -237,31 +234,6 @@ def check_exposes(
     return chain1 and chain2
 
 
-def exposed_permutation(
-    h: Graph,
-    core: Iterable[str],
-    side1: Iterable[str],
-    side2: Iterable[str],
-) -> tuple[tuple[str, ...], tuple[int, ...]] | None:
-    """The core order and permutation exposed by an unordered partition, if any."""
-    cs, s1, s2 = frozenset(core), frozenset(side1), frozenset(side2)
-    p = len(cs)
-    n1 = {v: h.neighbors(v) & s1 for v in cs}
-    n2 = {v: h.neighbors(v) & s2 for v in cs}
-    if any(not n1[v] or not n2[v] for v in cs):
-        return None
-    if sorted(len(n1[v]) for v in cs) != list(range(1, p + 1)):
-        return None
-    if sorted(len(n2[v]) for v in cs) != list(range(1, p + 1)):
-        return None
-    order = tuple(sorted(cs, key=lambda v: len(n1[v])))
-    by_n2 = sorted(cs, key=lambda v: len(n2[v]))
-    word = tuple(order.index(v) + 1 for v in by_n2)
-    if check_exposes(h, order, s1, s2, word):
-        return order, word
-    return None
-
-
 def interval_exposure_witness(
     rep: IntervalLikeRep,
     word: Sequence[int],
@@ -354,35 +326,6 @@ def generate_exposer(word: Sequence[int]) -> ExposerInstance:
     intervals += [(side2[k], 2 * p + inv[k], 3 * p + inv[k]) for k in range(p)]
     g = span_graph({v: (l + p, r + p) for v, l, r in intervals}, overlap=False)  # + p: no end is negative
     return ExposerInstance(g, tuple(core), tuple(side1), tuple(side2), w, tuple(intervals))
-
-
-def find_exposed_permutations(
-    g: Graph,
-    p: int,
-    cap: int = DEFAULT_EXPOSURE_SEARCH_CAP,
-) -> set[tuple[int, ...]]:
-    """All permutations of size p exposed by some induced subgraph of g."""
-    if p < 1:
-        raise DomainError("permutation size must be positive")
-    vs = g.names
-    n = len(vs)
-    if n < 3 * p:
-        return set()
-    work = math.comb(n, p) * math.comb(n - p, p) * math.comb(n - 2 * p, p)
-    if work > cap:
-        raise CapExceeded(f"exposure search would visit {work} partitions, cap is {cap}")
-
-    out: set[tuple[int, ...]] = set()
-    for core in itertools.combinations(vs, p):
-        rest = [v for v in vs if v not in core]
-        for side1 in itertools.combinations(rest, p):
-            s1 = set(side1)
-            rest2 = [v for v in rest if v not in s1]
-            for side2 in itertools.combinations(rest2, p):
-                got = exposed_permutation(g, core, side1, side2)
-                if got is not None:
-                    out.add(got[1])
-    return out
 
 
 # ---------------------------------------------------------------------------

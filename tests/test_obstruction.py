@@ -4,7 +4,7 @@ import random
 import pytest
 
 from twinwidth import obstruction
-from twinwidth.errors import CapExceeded, DomainError, ExtractionError
+from twinwidth.errors import DomainError, ExtractionError
 from twinwidth.graphs import Graph, find_twins, is_isomorphic, permutation_graph
 from twinwidth.ilrep import (
     INTERVAL,
@@ -22,9 +22,7 @@ from twinwidth.obstruction import (
     PermSubmatrixWitness,
     check_exposes,
     circle_permutation_witness,
-    exposed_permutation,
     extract_perm_submatrix,
-    find_exposed_permutations,
     generate_exposer,
     interval_exposure_witness,
     planted_mixed_minor_rep,
@@ -201,13 +199,14 @@ def test_check_exposes_examples():
 
 
 def test_generate_exposer_all_p_le_4():
+    # the core order fixes chain 1 and the side-2 neighbourhoods fix chain 2,
+    # so the exposer's own partition exposes exactly its word
     for p in (1, 2, 3, 4):
         for word in all_perms(p):
             inst = generate_exposer(word)
             assert len(inst.graph.vertices) == 3 * p
-            assert check_exposes(inst.graph, inst.core, inst.side1, inst.side2, word)
-            got = exposed_permutation(inst.graph, inst.core, inst.side1, inst.side2)
-            assert got is not None and got[1] == word
+            exposed = [w for w in all_perms(p) if check_exposes(inst.graph, inst.core, inst.side1, inst.side2, w)]
+            assert exposed == [word]
 
 
 @pytest.mark.parametrize("p", range(7))
@@ -236,19 +235,6 @@ def test_generate_exposer_decodes_from_own_model():
         rep = rep_from_intervals(inst.intervals, INTERVAL)
         mapping = interval_vertex_map(inst.intervals)
         assert inst.graph.relabel(mapping) == decode(rep)
-
-
-def test_find_exposed_permutations():
-    inst = generate_exposer((2, 1))
-    found = find_exposed_permutations(inst.graph, 2)
-    assert (2, 1) in found
-
-    edgeless = Graph.build("abcdef", [])
-    assert find_exposed_permutations(edgeless, 1) == set()
-    assert find_exposed_permutations(edgeless, 2) == set()
-
-    with pytest.raises(CapExceeded):
-        find_exposed_permutations(generate_exposer((1, 2, 3, 4)).graph, 4, cap=10)
 
 
 def test_reversal():
